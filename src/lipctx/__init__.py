@@ -61,7 +61,6 @@ from .layers import (
     attn_jacobian,
     attn_potential,
     attn_step_bound,
-    mlp_clamp_step,
     mlp_forward,
     softmax_weights,
     spectral_norm,

@@ -56,16 +56,24 @@ from .errors import BoundaryProximityError, NotClampedError
 from .layers import (
     AttentionLayer,
     MlpLayer,
+    attn_covariance,
     attn_forward,
     attn_jacobian,
     attn_potential,
     attn_softmax_mean,
     ball_sup_ay,
-    mlp_forward,
     spectral_norm,
 )
 from .measure import DomainBall, EmpiricalMeasure, new_empirical, w1_exact
-from .transformer import Lifting, ScalarModel, evaluate_batch, is_clamped
+from .transformer import (
+    Lifting,
+    ScalarModel,
+    attn_image,
+    evaluate_batch,
+    is_clamped,
+    lifted_ball,
+    mlp_image,
+)
 
 #: Sentinel cap for context constants that overflow.
 C1_CAP = 1e18
@@ -200,10 +208,6 @@ def random_measure(
     return new_empirical(sample_in_ball(rng, ball, n))
 
 
-def _serialize_measure(mu: EmpiricalMeasure) -> dict:
-    return {"points": mu.points.tolist(), "weights": mu.weights.tolist()}
-
-
 def random_clamped_model(
     dim: int, width: int, n_blocks: int, seed: int, radius: float = 1.0
 ) -> ScalarModel:
@@ -225,23 +229,20 @@ def random_clamped_model(
         raw if cert <= 1.0 else raw / cert,
         rng.normal(size=width) * 0.2,
     )
-    current = DomainBall(
-        lifting.apply_batch(input_domain.center[None, :])[0],
-        input_domain.radius * lifting.cert_spec_norm,
-    )
+    current = lifted_ball(lifting, input_domain)
     blocks = []
     for _ in range(n_blocks):
         a = rng.normal(size=(width, width)) / math.sqrt(width)
         sup = ball_sup_ay(a, current)
         eta = float(rng.uniform(0.0, 1.0)) * (2.0 / (sup * sup)) if sup > 0 else 0.0
         attn = AttentionLayer(a, eta, current)
-        current = DomainBall(current.center, current.radius + attn.eta * attn.sup_ay)
+        current = attn_image(current, attn)
         w = rng.normal(size=(width, width)) / math.sqrt(width)
         b = rng.normal(size=width) * 0.2
         cert = spectral_norm(w)
         tau = float(rng.uniform(0.0, 1.0)) * (2.0 / (cert * cert)) if cert > 0 else 0.0
         mlp = MlpLayer(w, b, tau)
-        current = DomainBall(mlp_forward(mlp, current.center), current.radius)
+        current = mlp_image(current, mlp)
         blocks.append((attn, mlp))
     readout = rng.normal(size=width)
     readout /= np.linalg.norm(readout)
@@ -259,6 +260,8 @@ def empirical_query_lipschitz(
     Pairs closer than 1e-9 are skipped (ratio estimators near 0/0 are
     noise). Refuses unclamped models: their step sizes void the claim.
     """
+    from .serialize import measure_to_json
+
     if not is_clamped(model):
         raise NotClampedError("query-Lipschitz certificate requires a clamped model")
     bound = float(np.linalg.norm(model.readout)) * (1.0 + 1e-9)
@@ -279,7 +282,7 @@ def empirical_query_lipschitz(
         ratios = np.abs(v1[keep] - v2[keep]) / dist[keep]
         j = int(np.argmax(ratios))
         witness = {
-            "measure": _serialize_measure(mu),
+            "measure": measure_to_json(mu),
             "x1": x1[keep][j].tolist(),
             "x2": x2[keep][j].tolist(),
             "ratio": float(ratios[j]),
@@ -311,6 +314,8 @@ def empirical_context_lipschitz(
     product-form constant, flagged (name suffix ``_vacuous``) when any
     layer's constants overflowed their trustworthy range.
     """
+    from .serialize import measure_to_json
+
     if not is_clamped(model):
         raise NotClampedError("context-Lipschitz certificate requires a clamped model")
     bound, vacuous = context_product_bound(model)
@@ -336,8 +341,8 @@ def empirical_context_lipschitz(
                 best = ratio
                 witness = {
                     "x": x.tolist(),
-                    "mu": _serialize_measure(mu),
-                    "nu": _serialize_measure(nu),
+                    "mu": measure_to_json(mu),
+                    "nu": measure_to_json(nu),
                     "ratio": ratio,
                 }
         return best, witness
@@ -431,10 +436,7 @@ def _fd_sweep(model: ScalarModel, n_trials: int, seed: int):
         pot_err = potential_grad_check(attn, mu, x)
         jac = attn_jacobian(attn, mu, x)
         asym = float(np.max(np.abs(jac - jac.T)))
-        cov_min = 0.0
-        if attn.eta > 0.0:
-            eigs = np.linalg.eigvalsh((np.eye(attn.dim) - jac) / attn.eta)
-            cov_min = float(eigs[0])
+        cov_min = float(np.linalg.eigvalsh(attn_covariance(attn, mu, x))[0])
         return jac_err, pot_err, asym, cov_min
 
     res = _map_trials(trial, n_trials)

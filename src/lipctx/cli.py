@@ -125,6 +125,14 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
+def _train_config(args, width: int = 8, depth: int = 1) -> TrainConfig:
+    """Critic schedule from the ``--iterations``, ``--step`` and ``--seed`` flags."""
+    return TrainConfig(
+        iterations=args.iterations, step_size=args.step, seed=args.seed,
+        width=width, depth=depth,
+    )
+
+
 def _cmd_certify(args) -> int:
     model = serialize.model_from_json(serialize.load_file(args.model))
     report = certify_model(
@@ -149,14 +157,7 @@ def _cmd_w1(args) -> int:
     if args.method == "exact":
         value = w1_exact(mu, nu)
     else:
-        cfg = TrainConfig(
-            iterations=args.iterations,
-            step_size=args.step,
-            seed=args.seed,
-            width=args.width,
-            depth=args.depth,
-        )
-        _, value = train_critic(mu, nu, cfg)
+        _, value = train_critic(mu, nu, _train_config(args, args.width, args.depth))
     print(repr(float(value)))
     return 0
 
@@ -187,13 +188,9 @@ def _cmd_separate(args) -> int:
     mu = serialize.measure_from_json(serialize.load_file(args.mu))
     nu = serialize.measure_from_json(serialize.load_file(args.nu))
     x, xp = _vector(args.x), _vector(args.xp)
-    cfg = TrainConfig(
-        iterations=args.iterations, step_size=args.step, seed=args.seed,
-        width=8, depth=1,
-    )
     model = separator(
         mu, x, nu, xp, args.target_a, args.target_b, args.lipschitz_c,
-        eps=args.eps, train_cfg=cfg,
+        eps=args.eps, train_cfg=_train_config(args),
     )
     if args.out:
         serialize.dump_file(serialize.model_to_json(model), args.out)
@@ -214,11 +211,7 @@ def _cmd_rsw_fit(args) -> int:
         )
         for entry in entries
     ]
-    cfg = TrainConfig(
-        iterations=args.iterations, step_size=args.step, seed=args.seed,
-        width=8, depth=1,
-    )
-    model = rsw_interpolate(samples, args.lipschitz_c, train_cfg=cfg)
+    model = rsw_interpolate(samples, args.lipschitz_c, train_cfg=_train_config(args))
     if args.out:
         serialize.dump_file(serialize.model_to_json(model), args.out)
     if not args.check:

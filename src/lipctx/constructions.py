@@ -39,6 +39,7 @@ certification. They are therefore returned unclamped and exact.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,7 @@ from .measure import DomainBall, EmpiricalMeasure, bounding_ball, w1_exact
 from .transformer import (
     Lifting,
     ScalarModel,
+    attn_image,
     clamp_model,
     evaluate,
     propagate_domains,
@@ -138,12 +140,6 @@ def _enclosing_ball(ball_a: DomainBall, ball_b: DomainBall, extra: float = 0.0) 
     return DomainBall(center, math.hypot(ball_a.radius, ball_b.radius))
 
 
-def _attn_image_ball(layer: AttentionLayer) -> DomainBall:
-    return DomainBall(
-        layer.domain.center, layer.domain.radius + layer.eta * layer.sup_ay
-    )
-
-
 def parallel_attention(
     g: AttentionLayer, gp: AttentionLayer
 ) -> tuple[AttentionLayer, AttentionLayer]:
@@ -168,7 +164,7 @@ def parallel_attention(
     layer2 = AttentionLayer(
         a2,
         gp.eta,
-        _enclosing_ball(_attn_image_ball(g), gp.domain),
+        _enclosing_ball(attn_image(g.domain, g), gp.domain),
         sup_ay=gp.sup_ay,
         clamp=False,
     )
@@ -544,12 +540,8 @@ def rsw_interpolate(
                 gap_w1 = w1_exact(kept[i][0], kept[j][0])
                 slackness = dist[i, j] - abs(targets[i] - targets[j])
                 eps = max(min(slackness / (2.0 * c_budget), gap_w1 * 0.05), 1e-12)
-                cfg = TrainConfig(
-                    iterations=train_cfg.iterations,
-                    step_size=train_cfg.step_size,
-                    seed=train_cfg.seed * 10007 + i * 101 + j,
-                    width=train_cfg.width,
-                    depth=train_cfg.depth,
+                cfg = dataclasses.replace(
+                    train_cfg, seed=train_cfg.seed * 10007 + i * 101 + j
                 )
                 critics[(i, j)], _ = train_critic(
                     kept[i][0], kept[j][0], cfg, target=gap_w1 - eps

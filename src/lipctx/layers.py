@@ -31,8 +31,9 @@ gate, parallel stacks) sit precisely on the *true* feasibility boundary
 and must not be perturbed by certification slack. Callers that need a
 strict clamp (the Wasserstein critic) pass ``slack=0``.
 
-Domain membership is enforced fail-closed with relative tolerance
-1e-6 * radius: every Lipschitz certificate is conditional on the inputs
+Domain membership is enforced fail-closed by ``DomainBall.require``: a
+point is inside the declared ball (c, r) when ||x - c|| <= r + 1e-9, an
+absolute slack. Every Lipschitz certificate is conditional on the inputs
 staying inside the declared domain.
 """
 from __future__ import annotations
@@ -42,16 +43,13 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainViolationError, InvalidMeasureError
+from .errors import DimensionMismatchError, InvalidMeasureError
 from .measure import DomainBall, EmpiricalMeasure, tree_sum
 
 #: Relative slack accepted by step clamps above the certified bound.
 #: Covers the (1 + 1e-6)^2 certification inflation with margin, so a
 #: step that is feasible for the true norm is not shaved.
 FEAS_SLACK = 1e-5
-
-#: Relative domain-membership tolerance (times the ball radius).
-DOMAIN_RTOL = 1e-6
 
 #: Inflation factor applied to power-iteration estimates.
 CERT_INFLATION = 1.0 + 1e-6
@@ -290,50 +288,23 @@ def mlp_forward_batch(layer: MlpLayer, xs: np.ndarray) -> np.ndarray:
     return xs - layer.tau * (np.maximum(pre, 0.0) @ layer.W)
 
 
-def mlp_clamp_step(layer: MlpLayer) -> MlpLayer:
-    """Recompute the certified norm and project tau into its interval."""
-    return MlpLayer(layer.W, layer.b, layer.tau)
-
-
 # ---------------------------------------------------------------------------
 # Attention evaluation
 # ---------------------------------------------------------------------------
-def _require_inside(
-    domain: DomainBall, points: np.ndarray, what: str, stage: int | None = None
-) -> None:
-    pts = np.atleast_2d(points)
-    if pts.shape[1] != domain.dim:
-        raise DimensionMismatchError(
-            f"{what} of dim {pts.shape[1]} vs domain of dim {domain.dim}"
-        )
-    dist = np.linalg.norm(pts - domain.center, axis=1)
-    limit = domain.radius * (1.0 + DOMAIN_RTOL) + 1e-9
-    worst = int(np.argmax(dist))
-    if dist[worst] > limit:
-        raise DomainViolationError(
-            f"{what} at distance {dist[worst]:.6g} outside declared domain "
-            f"(radius {domain.radius:.6g})"
-            + (f" at stage {stage}" if stage is not None else ""),
-            stage=stage,
-        )
-
-
 def attn_apply_batch(
     layer: AttentionLayer,
     mu: EmpiricalMeasure,
     queries: np.ndarray,
     stage: int | None = None,
-    check_queries: bool = True,
 ) -> np.ndarray:
     """Attention update of a batch of queries against the measure ``mu``.
 
     Atom reductions run over the measure's canonical order, so the
     result does not depend on atom storage order.
     """
-    _require_inside(layer.domain, mu.points, "context atom", stage)
+    layer.domain.require(mu.points, "context atom", stage)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if check_queries:
-        _require_inside(layer.domain, queries, "query", stage)
+    layer.domain.require(queries, "query", stage)
     if layer.is_identity:
         return queries
     pts, w, _ = mu.canonical()
@@ -354,9 +325,9 @@ def attn_softmax_mean(
     layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
 ) -> np.ndarray:
     """m(x): the softmax-weighted mean of A y, i.e. the potential gradient."""
-    _require_inside(layer.domain, mu.points, "context atom")
+    layer.domain.require(mu.points, "context atom")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _require_inside(layer.domain, x[None, :], "query")
+    layer.domain.require(x, "query")
     pts, w, _ = mu.canonical()
     ay = pts @ layer.A.T
     p = _softmax_batch((x @ ay.T)[None, :], w)[0]
@@ -365,9 +336,9 @@ def attn_softmax_mean(
 
 def attn_potential(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> float:
     """lam(mu)(x) = log sum_i w_i exp(<x, A y_i>), max-subtracted."""
-    _require_inside(layer.domain, mu.points, "context atom")
+    layer.domain.require(mu.points, "context atom")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _require_inside(layer.domain, x[None, :], "query")
+    layer.domain.require(x, "query")
     pts, w, _ = mu.canonical()
     scores = pts @ (layer.A.T @ x)
     pos = w > 0
@@ -376,22 +347,31 @@ def attn_potential(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -
     return smax + math.log(z)
 
 
-def attn_jacobian(
+def attn_covariance(
     layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
 ) -> np.ndarray:
-    """Query Jacobian I - eta * Cov of the attention update.
+    """Softmax-weighted covariance Cov of A y at query ``x``.
 
-    The covariance is a softmax-weighted sum of symmetric rank-one
-    terms, so the result is exactly symmetric and PSD up to rounding;
-    its spectral norm stays within 1 + 1e-9 under the eta invariant.
+    A weighted sum of symmetric rank-one terms, so it is exactly
+    symmetric and PSD up to rounding.
     """
-    _require_inside(layer.domain, mu.points, "context atom")
+    layer.domain.require(mu.points, "context atom")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _require_inside(layer.domain, x[None, :], "query")
+    layer.domain.require(x, "query")
     pts, w, _ = mu.canonical()
     ay = pts @ layer.A.T
     p = _softmax_batch((x @ ay.T)[None, :], w)[0]
     mean = tree_sum(p[:, None] * ay)
     diffs = ay - mean
-    cov = tree_sum(p[:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
-    return np.eye(layer.dim) - layer.eta * cov
+    return tree_sum(p[:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
+
+
+def attn_jacobian(
+    layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
+) -> np.ndarray:
+    """Query Jacobian I - eta * Cov of the attention update.
+
+    The result is exactly symmetric; its spectral norm stays within
+    1 + 1e-9 under the eta invariant.
+    """
+    return np.eye(layer.dim) - layer.eta * attn_covariance(layer, mu, x)

@@ -25,6 +25,13 @@ stored atoms, bit for bit, while storage order is preserved to keep
 token identity (duplicate atoms are never merged except inside marginal
 comparisons).
 
+Domain membership
+-----------------
+One rule decides membership everywhere: a point x is inside the ball
+(c, r) when ||x - c|| <= r + ``BALL_ABS_TOL``, and a ball (c', r') is
+inside it when ||c' - c|| + r' <= r + ``BALL_ABS_TOL``. The slack is
+absolute and does not grow with the radius.
+
 All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -35,12 +42,17 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import CapExceededError, DimensionMismatchError, InvalidMeasureError
+from .errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    DomainViolationError,
+    InvalidMeasureError,
+)
 
 #: Default cap on n_mu * n_nu transportation cells.
 W1_CELL_CAP = 4096
 
-#: Absolute slack used by DomainBall.contains.
+#: Absolute slack of the domain-membership rule (see ``DomainBall.limit``).
 BALL_ABS_TOL = 1e-9
 
 
@@ -137,23 +149,6 @@ class EmpiricalMeasure:
         inv[order] = np.arange(order.size)
         return self.points[order], self.weights[order], inv
 
-    def merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms as a canonical weighted multiset: duplicates merged, sorted."""
-        pts, w, _ = self.canonical()
-        keep_rows = []
-        keep_w = []
-        i = 0
-        while i < len(w):
-            j = i + 1
-            acc = w[i]
-            while j < len(w) and np.array_equal(pts[j], pts[i]):
-                acc += w[j]
-                j += 1
-            keep_rows.append(pts[i])
-            keep_w.append(acc)
-            i = j
-        return np.array(keep_rows), np.array(keep_w)
-
     def __repr__(self) -> str:
         return f"EmpiricalMeasure(n={self.n_atoms}, d={self.dim})"
 
@@ -223,21 +218,42 @@ class DomainBall:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, x: np.ndarray, rtol: float = 0.0) -> bool:
-        """Membership with absolute slack 1e-9 plus ``rtol * radius``."""
+    @property
+    def limit(self) -> float:
+        """Largest distance from the center that counts as inside."""
+        return self.radius + BALL_ABS_TOL
+
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether ``x`` is inside: ||x - center|| <= ``limit``."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != self.center.shape:
             raise DimensionMismatchError(
                 f"point of dim {x.shape[0]} vs ball of dim {self.dim}"
             )
-        return float(np.linalg.norm(x - self.center)) <= (
-            self.radius + BALL_ABS_TOL + rtol * self.radius
-        )
+        return float(np.linalg.norm(x - self.center)) <= self.limit
 
-    def contains_ball(self, other: "DomainBall", tol: float = BALL_ABS_TOL) -> bool:
-        """Whether ``other`` is contained in this ball, with absolute slack."""
-        gap = float(np.linalg.norm(other.center - self.center)) + other.radius
-        return gap <= self.radius + tol
+    def require(
+        self, points: np.ndarray, what: str, stage: int | None = None
+    ) -> None:
+        """Raise ``DomainViolationError`` unless every row of ``points`` is inside.
+
+        ``what`` names the points in the message; ``stage`` is the block
+        index reported with the violation.
+        """
+        pts = np.atleast_2d(points)
+        if pts.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"{what} of dim {pts.shape[1]} vs domain of dim {self.dim}"
+            )
+        dist = np.linalg.norm(pts - self.center, axis=1)
+        worst = int(np.argmax(dist))
+        if dist[worst] > self.limit:
+            raise DomainViolationError(
+                f"{what} at distance {dist[worst]:.6g} outside declared domain "
+                f"(radius {self.radius:.6g})"
+                + (f" at stage {stage}" if stage is not None else ""),
+                stage=stage,
+            )
 
     def __repr__(self) -> str:
         return f"DomainBall(d={self.dim}, radius={self.radius:.6g})"
@@ -311,10 +327,6 @@ def pair_coupling(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Coupling:
 # ---------------------------------------------------------------------------
 # Exact Wasserstein-1 oracles
 # ---------------------------------------------------------------------------
-class LipschitzOracleFailure(CapExceededError):
-    """The LP oracle failed to solve an in-cap instance."""
-
-
 def w1_exact_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Exact 1D W1: integral of |F_mu - F_nu| over merged sorted atoms."""
     if mu.dim != 1 or nu.dim != 1:
@@ -364,5 +376,5 @@ def w1_exact(
     b_eq = np.concatenate([mu.weights, nu.weights[: m - 1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:  # pragma: no cover - HiGHS handles these instances
-        raise LipschitzOracleFailure(res.message)
+        raise CapExceededError(res.message)
     return max(0.0, float(res.fun))

@@ -15,14 +15,18 @@ Domain tracking
 ---------------
 The attention step bound depends on the layer's input set, which changes
 layer to layer. Each model therefore carries one declared ball per
-attention layer; ``propagate_domains`` pushes a sound ball through the
-stack (lifting: center through the map, radius times the certified
-lifting norm; attention: radius grows by eta * sup_ay since the update
-is a convex combination of -eta A y terms; MLP: center through the map,
-radius preserved by 1-Lipschitzness) and flags any declared domain that
-fails to contain its propagated ball. ``clamp_model`` is the enforcement
-path: it rewrites every declared domain to the propagated ball and
-re-projects every step size, and is exactly idempotent.
+attention layer. The ball walk has three steps, each written once:
+``lifted_ball`` (center through the map, radius times the certified
+lifting norm), ``attn_image`` (radius grows by eta * sup_ay since the
+update is a convex combination of -eta A y terms) and ``mlp_image``
+(center through the map, radius preserved by 1-Lipschitzness).
+``propagate_domains`` walks a sound ball through the stack and flags any
+declared domain (c, r) that fails to contain its propagated ball
+(c', r'), that is ||c' - c|| + r' > r + 1e-9. Forward evaluation holds
+every atom and query to ||x - c|| <= r + 1e-9 and otherwise raises
+``DomainViolationError`` with the stage. ``clamp_model`` is the
+enforcement path: it rewrites every declared domain to the propagated
+ball and re-projects every step size, and is exactly idempotent.
 
 Determinism
 -----------
@@ -41,13 +45,12 @@ from .errors import DimensionMismatchError
 from .layers import (
     AttentionLayer,
     MlpLayer,
-    _require_inside,
     attn_apply_batch,
     mlp_forward,
     mlp_forward_batch,
     spectral_norm,
 )
-from .measure import BALL_ABS_TOL, DomainBall, EmpiricalMeasure
+from .measure import DomainBall, EmpiricalMeasure
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +158,8 @@ def _check_input(model: ScalarModel, mu: EmpiricalMeasure, queries: np.ndarray) 
         raise DimensionMismatchError(
             f"measure of dim {mu.dim} for model of input dim {dom.dim}"
         )
-    _require_inside(dom, mu.points, "input atom")
-    _require_inside(dom, queries, "input query")
+    dom.require(mu.points, "input atom")
+    dom.require(queries, "input query")
 
 
 def _map_atoms(mu: EmpiricalMeasure, fn) -> EmpiricalMeasure:
@@ -175,8 +178,8 @@ def _forward(
     for stage, (attn, mlp) in enumerate(model.blocks):
         if attn.is_identity:
             # Exact identity; membership stays fail-closed.
-            _require_inside(attn.domain, meas.points, "context atom", stage)
-            _require_inside(attn.domain, qs, "query", stage)
+            attn.domain.require(meas.points, "context atom", stage)
+            attn.domain.require(qs, "query", stage)
         else:
             # Every atom attends over the same pre-update measure.
             pre = meas
@@ -227,15 +230,20 @@ def evaluate_batch(
 # ---------------------------------------------------------------------------
 # Domain propagation and clamping
 # ---------------------------------------------------------------------------
-def _lifted_ball(model: ScalarModel) -> DomainBall:
-    dom = model.input_domain
-    center = model.lifting.apply_batch(dom.center[None, :])[0]
-    return DomainBall(center, dom.radius * model.lifting.cert_spec_norm)
+def lifted_ball(lifting: Lifting, domain: DomainBall) -> DomainBall:
+    """Sound image of ``domain`` under the lifting."""
+    center = lifting.apply_batch(domain.center[None, :])[0]
+    return DomainBall(center, domain.radius * lifting.cert_spec_norm)
 
 
-def _contains_with_tol(declared: DomainBall, propagated: DomainBall) -> bool:
-    tol = BALL_ABS_TOL + 1e-12 * max(declared.radius, 1.0)
-    return declared.contains_ball(propagated, tol=tol)
+def attn_image(ball: DomainBall, attn: AttentionLayer) -> DomainBall:
+    """Sound image of ``ball`` under an attention layer: radius + eta * sup_ay."""
+    return DomainBall(ball.center, ball.radius + attn.eta * attn.sup_ay)
+
+
+def mlp_image(ball: DomainBall, mlp: MlpLayer) -> DomainBall:
+    """Image of ``ball`` under a 1-Lipschitz MLP layer: center mapped, same radius."""
+    return DomainBall(mlp_forward(mlp, ball.center), ball.radius)
 
 
 def propagate_domains(model: ScalarModel) -> DomainChain:
@@ -245,16 +253,15 @@ def propagate_domains(model: ScalarModel) -> DomainChain:
     infeasible models are exactly what the flags are for, and
     ``clamp_model`` is the enforcement path.
     """
-    current = _lifted_ball(model)
+    current = lifted_ball(model.lifting, model.input_domain)
     domains = [current]
     valid = []
     for attn, mlp in model.blocks:
-        valid.append(_contains_with_tol(attn.domain, current))
-        current = DomainBall(
-            current.center, current.radius + attn.eta * attn.sup_ay
-        )
+        gap = float(np.linalg.norm(current.center - attn.domain.center))
+        valid.append(gap + current.radius <= attn.domain.limit)
+        current = attn_image(current, attn)
         domains.append(current)
-        current = DomainBall(mlp_forward(mlp, current.center), current.radius)
+        current = mlp_image(current, mlp)
         domains.append(current)
     return DomainChain(tuple(domains), tuple(valid))
 
@@ -265,15 +272,12 @@ def clamp_model(model: ScalarModel) -> ScalarModel:
     Exactly idempotent: a second application reproduces the same layer
     parameters and domains bit for bit.
     """
-    current = _lifted_ball(model)
+    current = lifted_ball(model.lifting, model.input_domain)
     blocks = []
     for attn, mlp in model.blocks:
         new_attn = AttentionLayer(attn.A, attn.eta, current)
-        current = DomainBall(
-            current.center, current.radius + new_attn.eta * new_attn.sup_ay
-        )
         new_mlp = MlpLayer(mlp.W, mlp.b, mlp.tau)
-        current = DomainBall(mlp_forward(new_mlp, current.center), current.radius)
+        current = mlp_image(attn_image(current, new_attn), new_mlp)
         blocks.append((new_attn, new_mlp))
     return ScalarModel(
         model.lifting,

@@ -193,6 +193,15 @@ class TestCertifyModel:
         assert rep1.passed
         assert dumps(report_to_json(rep1)) == dumps(report_to_json(rep2))
 
+    def test_tiny_step_passes_covariance_psd(self):
+        # The first attention step is 1.8e-5 of its bound; reading Cov back
+        # out of (I - J) / eta amplified rounding past the 1e-12 bound.
+        model = random_clamped_model(6, 12, 3, seed=655853295)
+        rep = certify_model(model, n_measures=4, n_pairs=60, seed=11,
+                            context_anchors=2, context_pairs=8, fd_trials=20)
+        assert {c.name: c.passed for c in rep.checks}["covariance_psd"]
+        assert rep.passed
+
     def test_tolerance_override_can_fail(self):
         model = random_clamped_model(2, 5, 2, seed=8)
         rep = certify_model(

@@ -15,7 +15,6 @@ from lipctx.layers import (
     attn_softmax_mean,
     attn_step_bound,
     ball_sup_ay,
-    mlp_clamp_step,
     mlp_forward,
     softmax_weights,
     spectral_norm,
@@ -87,7 +86,7 @@ class TestMlpLayer:
     def test_clamp_noop_when_feasible(self):
         layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 0.1)
         assert layer.tau == 0.1
-        clamped = mlp_clamp_step(layer)
+        clamped = MlpLayer(layer.W, layer.b, layer.tau)
         assert clamped.tau == 0.1
 
     def test_clamp_negative_to_zero(self):
@@ -184,6 +183,12 @@ class TestAttentionForward:
         outside = new_empirical([[1.5, 1.5]])
         with pytest.raises(DomainViolationError):
             attn_forward(layer, outside, np.array([0.0, 0.0]))
+        # One absolute rule: ||x - c|| <= r + 1e-9, with no slack relative to r.
+        with pytest.raises(DomainViolationError):
+            attn_forward(layer, inside, np.array([1.0 + 1e-7, 0.0]))
+        with pytest.raises(DomainViolationError):
+            attn_forward(layer, new_empirical([[0.0, 1.0 + 1e-7]]), np.zeros(2))
+        attn_forward(layer, new_empirical([[0.0, 1.0 + 5e-10]]), np.array([1.0 + 5e-10, 0.0]))
 
     def test_query_one_lipschitz(self):
         rng = np.random.default_rng(7)

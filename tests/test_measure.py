@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from lipctx.errors import CapExceededError, DimensionMismatchError, InvalidMeasureError
+from lipctx.errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    DomainViolationError,
+    InvalidMeasureError,
+)
 from lipctx.measure import (
     DomainBall,
     bounding_ball,
@@ -25,6 +30,24 @@ from lipctx.measure import (
     w1_exact,
     w1_exact_1d,
 )
+
+
+def merged(mu):
+    """Atoms as a canonical weighted multiset: duplicates merged, sorted."""
+    pts, w, _ = mu.canonical()
+    keep_rows = []
+    keep_w = []
+    i = 0
+    while i < len(w):
+        j = i + 1
+        acc = w[i]
+        while j < len(w) and np.array_equal(pts[j], pts[i]):
+            acc += w[j]
+            j += 1
+        keep_rows.append(pts[i])
+        keep_w.append(acc)
+        i = j
+    return np.array(keep_rows), np.array(keep_w)
 
 
 class TestNewEmpirical:
@@ -192,8 +215,8 @@ class TestPairCoupling:
         gamma = pair_coupling(mu, nu)
         left, right = gamma.marginals()
         for got, want in ((left, mu), (right, nu)):
-            got_pts, got_w = got.merged()
-            want_pts, want_w = want.merged()
+            got_pts, got_w = merged(got)
+            want_pts, want_w = merged(want)
             np.testing.assert_array_equal(got_pts, want_pts)
             np.testing.assert_allclose(got_w, want_w, atol=1e-12)
         assert abs(float(np.sum(gamma.weights)) - 1.0) <= 1e-12
@@ -225,9 +248,18 @@ class TestBoundingBall:
 class TestDomainBall:
     def test_contains_with_slack(self):
         ball = DomainBall(np.zeros(2), 1.0)
-        assert ball.contains(np.array([1.0, 0.0]))
-        assert ball.contains(np.array([1.0 + 5e-10, 0.0]))
-        assert not ball.contains(np.array([1.1, 0.0]))
+        for x, inside in (
+            ([1.0, 0.0], True),
+            ([1.0 + 5e-10, 0.0], True),
+            ([1.0 + 1e-7, 0.0], False),
+            ([1.1, 0.0], False),
+        ):
+            assert ball.contains(np.array(x)) is inside
+            if inside:
+                ball.require(np.array(x), "point")
+            else:
+                with pytest.raises(DomainViolationError):
+                    ball.require(np.array(x), "point")
 
     def test_invalid(self):
         with pytest.raises(InvalidMeasureError):

@@ -100,6 +100,24 @@ class TestForwardTokens:
         with pytest.raises(DomainViolationError) as err:
             forward_tokens(model, new_empirical([[0.5, 0.5]]), np.array([0.0, 0.0]))
         assert err.value.stage == 0
+        # At radius 1 the slack is the absolute 1e-9 alone: a point 1e-7
+        # outside fails at the input (stage None) and at the stage that
+        # declares the ball, whether that layer is the identity or not.
+        with pytest.raises(DomainViolationError) as err:
+            forward_tokens(identity_model(d), new_empirical([[0.0, 0.0]]),
+                           np.array([1.0 + 1e-7, 0.0]))
+        assert err.value.stage is None
+        wide = AttentionLayer(np.zeros((d, d)), 0.0, DomainBall(np.zeros(d), 2.0))
+        unit = DomainBall(np.zeros(d), 1.0)
+        for attn in (
+            AttentionLayer(np.zeros((d, d)), 0.0, unit),
+            AttentionLayer(np.eye(d), 0.1, unit),
+        ):
+            model = identity_model(d, radius=2.0, blocks=((wide, mlp), (attn, mlp)))
+            forward_tokens(model, new_empirical([[1.0 + 5e-10, 0.0]]), np.zeros(d))
+            with pytest.raises(DomainViolationError) as err:
+                forward_tokens(model, new_empirical([[1.0 + 1e-7, 0.0]]), np.zeros(d))
+            assert err.value.stage == 1
 
 
 class TestEvaluate:
@@ -162,6 +180,15 @@ class TestPropagateDomains:
         model = identity_model(d, blocks=((small, mlp),))
         chain = propagate_domains(model)
         assert chain.valid == (False,)
+        # A declared ball 1e-7 smaller than the propagated one is flagged at
+        # every radius: the slack is an absolute 1e-9, not relative.
+        for radius in (1.0, 1e6):
+            lifted = propagate_domains(identity_model(d, radius=radius)).domains[0]
+            for shortfall, valid in ((1e-7, False), (5e-10, True)):
+                declared = DomainBall(lifted.center, lifted.radius - shortfall)
+                attn = AttentionLayer(np.zeros((d, d)), 0.0, declared)
+                model = identity_model(d, radius=radius, blocks=((attn, mlp),))
+                assert propagate_domains(model).valid == (valid,)
 
 
 class TestClampModel:
