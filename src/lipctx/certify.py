@@ -235,7 +235,7 @@ def random_clamped_model(
         a = rng.normal(size=(width, width)) / math.sqrt(width)
         sup = ball_sup_ay(a, current)
         eta = float(rng.uniform(0.0, 1.0)) * (2.0 / (sup * sup)) if sup > 0 else 0.0
-        attn = AttentionLayer(a, eta, current)
+        attn = AttentionLayer(a, eta, current, sup_ay=sup)
         current = attn_image(current, attn)
         w = rng.normal(size=(width, width)) / math.sqrt(width)
         b = rng.normal(size=width) * 0.2
@@ -434,9 +434,10 @@ def _fd_sweep(model: ScalarModel, n_trials: int, seed: int):
         x = sample_in_ball(rng, interior, 1)[0]
         jac_err = jacobian_fd_check(attn, mu, x)
         pot_err = potential_grad_check(attn, mu, x)
-        jac = attn_jacobian(attn, mu, x)
+        cov = attn_covariance(attn, mu, x)
+        jac = np.eye(attn.dim) - attn.eta * cov  # attn_jacobian, same bits
         asym = float(np.max(np.abs(jac - jac.T)))
-        cov_min = float(np.linalg.eigvalsh(attn_covariance(attn, mu, x))[0])
+        cov_min = float(np.linalg.eigvalsh(cov)[0])
         return jac_err, pot_err, asym, cov_min
 
     res = _map_trials(trial, n_trials)

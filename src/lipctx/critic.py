@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidMeasureError
-from .layers import MlpLayer
+from .layers import MlpLayer, clamp_step
 from .measure import EmpiricalMeasure, tree_sum, w1_exact
 from .transformer import Lifting
 
@@ -206,14 +206,19 @@ def project_params(c: Critic) -> Critic:
 
     Readout scaled into the unit ball, lifting scaled by its certified
     spectral bound when above one, every tau strictly clamped. The
-    certified bounds are inflated, so the composite's true Lipschitz
-    constant ends strictly below one. Idempotent within 1e-12.
+    certified bounds are upper bounds, so the composite's true Lipschitz
+    constant ends at most one. Idempotent within 1e-12. A layer whose
+    tau already meets the strict clamp (``train_critic`` builds its
+    layers with ``slack=0``) is kept, not rebuilt.
     """
     a_q = c.lifting.A
     s = c.lifting.cert_spec_norm
     lifting = c.lifting if s <= 1.0 else Lifting(a_q / s, c.lifting.b)
     stack = tuple(
-        MlpLayer(layer.W, layer.b, layer.tau, slack=0.0) for layer in c.stack
+        layer
+        if clamp_step(layer.tau, layer.cert_spec_norm, 0.0) == layer.tau
+        else MlpLayer(layer.W, layer.b, layer.tau, slack=0.0)
+        for layer in c.stack
     )
     v = c.readout
     nrm = float(np.linalg.norm(v))

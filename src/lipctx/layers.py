@@ -20,16 +20,24 @@ and both layers are 1-Lipschitz in x whenever the step size is at most
 
 Certification conventions
 -------------------------
-``spectral_norm`` returns a power-iteration estimate inflated by
-(1 + 1e-6); the inflation makes every bound derived from it an upper
-bound despite power iteration underestimating. The supremum of ||A y||
-over a ball is overapproximated by ||A c|| + r ||A||_2, which is sound
-and cheap. Because the certified bounds are deliberately inflated, the
-step clamps accept steps within a relative ``FEAS_SLACK`` above the
-certified bound before projecting; exact constructions (the min/max
-gate, parallel stacks) sit precisely on the *true* feasibility boundary
-and must not be perturbed by certification slack. Callers that need a
-strict clamp (the Wasserstein critic) pass ``slack=0``.
+``spectral_norm`` returns a proven upper bound: the square root of the
+top eigenvalue of the Gram matrix plus an explicit rounding term that
+covers forming the Gram matrix and the eigensolve (derivation in its
+docstring). The bound exceeds the true norm by a relative 2(n+1)^2 u
+plus N u tr(G)/||G|| at most (u = 2^-53, Gram matrix G of side n, inner
+dimension N), under 1e-10 for matrices up to 400 x 400. The supremum of
+||A y|| over a ball is overapproximated by ||A c|| + r ||A||_2, which is
+sound and cheap. Step clamps accept steps within a relative
+``FEAS_SLACK`` (1e-9, over twice that inflation) above the certified
+bound before projecting; exact constructions (the min/max gate, parallel
+stacks) sit precisely on the *true* feasibility boundary and must not be
+perturbed by certification rounding. The price is that a step admitted
+inside the slack may exceed its true bound 2 / s^2 by the same relative
+1e-9, so such a layer is (1 + 2e-9)-Lipschitz. A step the clamp moves
+lands on the certified bound, below the true one for MLP layers; the
+attention sup rounds ||A c|| to nearest, so its bound can sit a few ulps
+above the true one, well inside that margin. Callers that need a strict
+clamp (the Wasserstein critic) pass ``slack=0``.
 
 Domain membership is enforced fail-closed by ``DomainBall.require``: a
 point is inside the declared ball (c, r) when ||x - c|| <= r + 1e-9, an
@@ -39,73 +47,102 @@ staying inside the declared domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatchError, InvalidMeasureError
 from .measure import DomainBall, EmpiricalMeasure, tree_sum
 
 #: Relative slack accepted by step clamps above the certified bound.
-#: Covers the (1 + 1e-6)^2 certification inflation with margin, so a
-#: step that is feasible for the true norm is not shaved.
-FEAS_SLACK = 1e-5
+#: Covers twice the relative inflation of ``spectral_norm`` (under 1e-10
+#: up to 400 x 400), so a step that is feasible for the true norm is not
+#: shaved; an admitted step exceeds its true bound by at most this much.
+FEAS_SLACK = 1e-9
 
-#: Inflation factor applied to power-iteration estimates.
-CERT_INFLATION = 1.0 + 1e-6
-
-_POWER_MAX_ITER = 500
-_POWER_RESIDUAL = 1e-13
+#: Unit roundoff of IEEE binary64.
+_U = 2.0**-53
 
 
 def spectral_norm(mat: np.ndarray) -> float:
     """Certified upper bound on the spectral norm of ``mat``.
 
-    Power iteration on M^T M from the normalized all-ones vector, with a
-    seeded random restart if the iterate lands in the kernel, run to a
-    relative eigen-residual of 1e-13 or 500 iterations. The Rayleigh
-    estimate can only undershoot, so the result is inflated by
-    (1 + 1e-6) to yield a certified upper bound.
+    M is scaled by the power of two s = 2^e that puts its largest entry
+    in [1/2, 1), which is exact. Let A = M / s, oriented so that A is
+    N x n with N >= n, G = A^T A its exact Gram matrix and G^ = fl(A^T A);
+    ``||M||_2 = s sqrt(lam_max(G))``. With u = 2^-53 and
+    gamma_k = k u / (1 - k u):
+
+    1. Gram rounding (Higham, *Accuracy and Stability of Numerical
+       Algorithms*, 2nd ed., eq. 3.13, any summation order):
+       |G^ - G| <= gamma_N |A|^T |A| entrywise, so by Weyl
+       lam_max(G) <= lam_max(G^) + gamma_N ||A||_F^2, and
+       ||A||_F^2 = tr G <= t / ((1 - gamma_N)(1 - gamma_n)) where t is
+       the computed trace of G^ (nonnegative terms).
+    2. Eigensolve, checked a posteriori: lam^ is LAPACK's top eigenvalue
+       of G^ (at least t / n) and sigma = lam^ + 2 (n+1)^2 u lam^, a
+       shift above the eigensolver's error. If floating-point Cholesky of
+       fl(sigma I - G^) runs to completion, then sigma I - G^ + D is
+       positive semidefinite with ||D||_2 <= n gamma_{n+1} / (1 -
+       gamma_{n+1}) sigma + u sigma (Higham Thm 10.3 with
+       ||r_i||^2 <= a_ii / (1 - gamma_{n+1}); the u sigma term is the
+       rounding of the diagonal; Rump, "Verification of positive
+       definiteness", BIT 46, 2006). Hence lam_max(G^) <= sigma (1 +
+       1.001 (n^2 + n + 1) u). Should Cholesky fail, the shift doubles;
+       once sigma exceeds 2 t it cannot fail, so the loop ends.
+    3. Together lam_max(G) <= sigma (1 + 1.001 (n^2 + n + 1) u) +
+       1.001 N u t. The returned bound evaluates
+       lam = sigma (1 + (2 (n+1)^2 + 8) u) + 2 N u t. Its extra terms
+       exceed that by more than 12 u sigma, which covers the roundings in
+       evaluating lam (4 u relative) and its square root (u), and the
+       gradual underflow in the scaling, the Gram matrix and the
+       factorization, whose absolute errors stay below 2^-1000 while
+       lam >= 1/4. A result below 2^-1022 is rounded up one step, as
+       scaling it back by s is then inexact.
+
+    The steps assume (N + n) u <= 1e-4 and n^2 u <= 1e-4, which holds
+    for every matrix that fits in memory. The relative inflation over
+    the true norm is about 2 (n+1)^2 u + N u t / lam.
     """
     m = np.asarray(mat, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionMismatchError("spectral_norm expects a matrix")
-    if not np.all(np.isfinite(m)):
+    peak = float(np.max(np.abs(m))) if m.size else 0.0
+    if not math.isfinite(peak):  # NaN propagates through the max
         raise InvalidMeasureError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale == 0.0:
+    if peak == 0.0:
         return 0.0
-    m1 = m / scale
-    mtm = m1.T @ m1
-    s = m1.shape[1]
-    v = np.full(s, 1.0 / math.sqrt(s))
-    rng = None
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        u = mtm @ v
-        sq = float(u @ u)
-        if sq == 0.0:
-            # Start vector exactly orthogonal to the top eigenspace.
-            if rng is None:
-                rng = np.random.default_rng(0)
-            v = rng.standard_normal(s)
-            v /= math.sqrt(float(v @ v))
-            continue
-        lam = float(v @ u)
-        # ||u - lam*v||^2 = ||u||^2 - lam^2 since ||v|| = 1 and lam = v.u
-        if sq - lam * lam <= (_POWER_RESIDUAL * lam) ** 2:
+    exp = math.frexp(peak)[1]
+    a = np.ldexp(m, -exp)
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    big_n, n = a.shape
+    gram = a.T @ a
+    trace = float(gram.trace())
+    # NaN-safe: max keeps its first argument unless the second is larger.
+    top = max(trace / n, float(lapack.dsyevd(gram, compute_v=0, lower=1)[0][-1]))
+    shift = 2.0 * (n + 1) ** 2 * _U * top
+    while True:
+        sigma = top + shift
+        shifted = sigma * np.eye(n) - gram
+        if lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0:
             break
-        v = u / math.sqrt(sq)
-    return scale * math.sqrt(max(lam, 0.0)) * CERT_INFLATION
+        shift *= 2.0
+    lam = sigma * (1.0 + (2 * (n + 1) ** 2 + 8) * _U) + 2.0 * big_n * _U * trace
+    bound = math.ldexp(math.sqrt(lam), exp)
+    # Scaling back into the subnormal range rounds to nearest, so step up.
+    return bound if bound >= sys.float_info.min else math.nextafter(bound, math.inf)
 
 
 def clamp_step(step: float, sup: float, slack: float = FEAS_SLACK) -> float:
     """Project a step size into [0, 2 / sup^2] against a certified ``sup``.
 
     Steps within ``slack`` (relative) above the bound pass unchanged:
-    the bound is built from an inflated norm estimate, so such steps are
-    feasible for the true norm. When ``sup`` is zero the layer is the
-    identity regardless of the step, which is left untouched.
+    the bound is built from a norm bound inflated by rounding terms, so
+    a step on the true boundary is not shaved. When ``sup`` is zero the
+    layer is the identity regardless of the step, which is left untouched.
     """
     if sup <= 0.0:
         return step

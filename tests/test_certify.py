@@ -17,7 +17,13 @@ from lipctx.certify import (
     spawn_rngs,
 )
 from lipctx.errors import BoundaryProximityError, NotClampedError
-from lipctx.layers import AttentionLayer, MlpLayer, attn_forward, attn_step_bound
+from lipctx.layers import (
+    AttentionLayer,
+    MlpLayer,
+    attn_forward,
+    attn_step_bound,
+    spectral_norm,
+)
 from lipctx.measure import DomainBall, new_empirical, w1_exact
 from lipctx.serialize import dumps, report_to_json
 from lipctx.transformer import Lifting, ScalarModel, clamp_model, is_clamped
@@ -45,7 +51,8 @@ class TestContextLipschitzBound:
         dom = DomainBall(np.zeros(2), 1.0)
         layer = AttentionLayer(np.eye(2), 0.5, dom, clamp=False)
         cc = context_lipschitz_bound(layer)
-        op = 1.0 + 1e-6
+        op = spectral_norm(np.eye(2))
+        assert 1.0 <= op <= 1.0 + 1e-12
         r_sup = 1.0
         b = op * r_sup**2
         assert cc.score_bound == pytest.approx(b, rel=1e-12)

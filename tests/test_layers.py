@@ -1,5 +1,6 @@
 """Layer primitives: spectral certification, forwards, potentials, Jacobians."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,36 +36,96 @@ def random_attention(rng, dim, radius=1.2, eta_frac=None):
     return AttentionLayer(a, frac * attn_step_bound(a, dom), dom)
 
 
+def assert_tight(cert, m):
+    """svd <= cert <= svd * (1 + 1e-12): sound and within rounding of it."""
+    top = float(np.linalg.svd(m, compute_uv=False)[0])
+    assert top <= cert <= top * (1 + 1e-12)
+
+
+def near_tie_matrix(rng, n, delta):
+    """n x n matrix with s1 in [0.5, 2] and s2 = s1 (1 - delta)."""
+    u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    s1 = float(rng.uniform(0.5, 2.0))
+    s = np.sort(rng.uniform(0.0, s1 * (1 - delta), n))[::-1]
+    s[0], s[1] = s1, s1 * (1 - delta)
+    return (u * s) @ v.T
+
+
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm(np.eye(3)) == pytest.approx(1.000001, rel=1e-12)
+        assert_tight(spectral_norm(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(
-            3.0 * (1 + 1e-6), rel=1e-9
-        )
+        m = np.diag([3.0, 1.0])
+        assert_tight(spectral_norm(m), m)
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             m = rng.normal(size=(5, 4)) * 10.0 ** float(rng.integers(-2, 3))
-            cert = spectral_norm(m)
-            top = float(np.linalg.svd(m, compute_uv=False)[0])
-            assert cert >= top  # certified upper bound
-            assert cert <= top * (1 + 2.2e-6)
+            assert_tight(spectral_norm(m), m)
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
 
-    def test_stagnation_restart(self):
-        # all-ones start is exactly orthogonal to the top eigenvector
+    def test_kernel_orthogonal_row(self):
+        # The all-ones vector is exactly orthogonal to the top right
+        # singular vector, so no start vector may be assumed.
         c = 1.0 / math.sqrt(2.0)
         m = np.array([[c, -c]])
-        assert spectral_norm(m) == pytest.approx(1 + 1e-6, rel=1e-9)
+        assert_tight(spectral_norm(m), m)
+        assert_tight(spectral_norm(m.T), m.T)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidMeasureError):
             spectral_norm(np.array([[np.nan, 0.0]]))
+
+    def test_near_tie_spectra(self):
+        # s2 = s1 (1 - delta) for delta from 1e-9 to 1e-3: no certificate
+        # below the SVD norm, and a clamped MLP layer with every ReLU
+        # active (Jacobian I - tau W^T W) stays 1-Lipschitz.
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            m = near_tie_matrix(rng, 8, 10.0 ** float(rng.uniform(-9.0, -3.0)))
+            assert spectral_norm(m) >= np.linalg.norm(m, 2)
+            layer = MlpLayer(m, np.ones(8), 1e3)
+            assert np.all(layer.W @ np.zeros(8) + layer.b > 0.0)
+            jac = np.eye(8) - layer.tau * (layer.W.T @ layer.W)
+            assert np.linalg.norm(jac, 2) <= 1 + 1e-12
+
+    def test_relative_inflation_up_to_400(self):
+        rng = np.random.default_rng(21)
+        flat = np.linalg.qr(rng.normal(size=(400, 400)))[0]  # all s_i = 1
+        shapes = ((400, 400), (400, 7), (7, 400), (60, 130))
+        mats = [flat] + [rng.normal(size=shape) for shape in shapes]
+        for m in mats:
+            top = float(np.linalg.svd(m, compute_uv=False)[0])
+            cert = spectral_norm(m)
+            assert top <= cert <= top * (1 + 1e-9)
+
+    def test_wrong_eigenvalue_stays_sound(self, monkeypatch):
+        # The Cholesky check, not the eigensolver, carries the proof: an
+        # eigensolver that undershoots only widens the shift.
+        from lipctx import layers
+
+        real = layers.lapack.dsyevd
+
+        def low(a, **kw):
+            w, v, info = real(a, **kw)
+            return w * 0.5, v, info
+
+        monkeypatch.setattr(layers.lapack, "dsyevd", low)
+        rng = np.random.default_rng(22)
+        for shape in ((1, 1), (6, 6), (9, 4)):
+            m = rng.normal(size=shape)
+            assert spectral_norm(m) >= np.linalg.norm(m, 2)
+
+    def test_subnormal_norm_rounds_up(self):
+        # Scaling back into the subnormal range must not round down.
+        for v in (5e-324, 3e-320, 1.3e-310):
+            cert = spectral_norm(np.array([[v, v]]))
+            assert Fraction(cert) ** 2 >= 2 * Fraction(v) ** 2
 
 
 class TestMlpLayer:
@@ -81,7 +142,16 @@ class TestMlpLayer:
 
     def test_clamp_to_bound(self):
         layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 10.0)
-        assert layer.tau == pytest.approx(2.0 / (1 + 1e-6) ** 2, rel=1e-12)
+        assert layer.tau == 2.0 / layer.cert_spec_norm**2
+        assert 2.0 / (1 + 1e-12) ** 2 <= layer.tau <= 2.0
+
+    def test_clamp_above_true_bound(self):
+        # 2.00001 is above the true bound 2 by more than the slack, so
+        # both layers must clamp (else the ReLU-active Jacobian is -1.00001).
+        layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 2.00001)
+        assert layer.tau < 2.00001 and layer.tau <= 2.0 * (1 + FEAS_SLACK)
+        attn = AttentionLayer(np.eye(2), 2.00001, DomainBall(np.zeros(2), 1.0))
+        assert attn.eta < 2.00001 and attn.eta <= 2.0 * (1 + FEAS_SLACK)
 
     def test_clamp_noop_when_feasible(self):
         layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 0.1)
@@ -295,7 +365,7 @@ class TestStepBound:
 
     def test_identity_on_unit_ball(self):
         got = attn_step_bound(np.eye(2), DomainBall(np.zeros(2), 1.0))
-        assert got == pytest.approx(2.0 / (1 + 1e-6) ** 2, rel=1e-9)
+        assert 2.0 / (1 + 1e-12) ** 2 <= got <= 2.0
 
     def test_shifted_ball(self):
         dom = DomainBall(np.array([1.0, 0.0]), 1.0)
