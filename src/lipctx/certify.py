@@ -39,15 +39,12 @@ value is then capped at a sentinel and flagged vacuous rather than
 reported as a silent infinity.
 
 Reports are bit-reproducible: sampling uses per-trial generators spawned
-from one seed, trials may run on a thread pool capped by the
-``LIPCTX_THREADS`` environment variable, and aggregation is a
+from one seed, trials run in index order, and aggregation is a
 deterministic index-ordered max-reduce.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +77,10 @@ C1_CAP = 1e18
 
 #: Ball radius above which the context bound is flagged vacuous.
 VACUOUS_RADIUS = 2.0
+
+#: Largest atom count of the measures sampled by the context check; small
+#: enough that the exact W1 oracle stays cheap.
+CONTEXT_MAX_ATOMS = 8
 
 _FD_STEP = float(np.finfo(np.float64).eps) ** (1.0 / 3.0)
 
@@ -164,26 +165,9 @@ def context_product_bound(model: ScalarModel) -> tuple[float, bool]:
 # ---------------------------------------------------------------------------
 # Sampling utilities
 # ---------------------------------------------------------------------------
-def thread_count() -> int:
-    """Parallelism cap from LIPCTX_THREADS (default 1)."""
-    raw = os.environ.get("LIPCTX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, n: int) -> list:
-    """Run fn(0..n-1), possibly on threads; results in index order.
-
-    Trials use independent spawned generators, so the outcome does not
-    depend on scheduling and the reduce stays deterministic.
-    """
-    workers = thread_count()
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+def _worst(results: list) -> tuple:
+    """The (statistic, witness) trial result with the largest statistic."""
+    return max([(0.0, None)] + results, key=lambda r: r[0])
 
 
 def spawn_rngs(seed: int, n: int) -> list:
@@ -200,11 +184,9 @@ def sample_in_ball(rng, ball: DomainBall, size: int) -> np.ndarray:
     return ball.center + dirs / norms * radii[:, None]
 
 
-def random_measure(
-    rng, ball: DomainBall, max_atoms: int = 32, min_atoms: int = 1
-) -> EmpiricalMeasure:
-    """Uniform-weight measure with atoms uniform in the ball."""
-    n = int(rng.integers(min_atoms, max_atoms + 1))
+def random_measure(rng, ball: DomainBall, max_atoms: int = 32) -> EmpiricalMeasure:
+    """Uniform-weight measure of 1 to ``max_atoms`` atoms uniform in the ball."""
+    n = int(rng.integers(1, max_atoms + 1))
     return new_empirical(sample_in_ball(rng, ball, n))
 
 
@@ -289,11 +271,7 @@ def empirical_query_lipschitz(
         }
         return float(ratios[j]), witness
 
-    results = _map_trials(trial, n_measures)
-    stat, witness = 0.0, None
-    for s, w in results:
-        if s > stat:
-            stat, witness = s, w
+    stat, witness = _worst([trial(i) for i in range(n_measures)])
     entry = CheckResult(
         "query_lipschitz", stat, bound, stat <= bound, n_measures * n_pairs, seed
     )
@@ -305,14 +283,14 @@ def empirical_context_lipschitz(
     n_anchors: int,
     n_pairs: int,
     seed: int,
-    max_atoms: int = 8,
 ) -> tuple[CheckResult, dict | None]:
     """Max |eval(mu,x)-eval(nu,x)| / W1(mu,nu) against the product bound.
 
-    Measure sizes stay small so the exact oracle is tractable; pairs
-    with W1 below 1e-9 are skipped. The reference bound is the assembled
-    product-form constant, flagged (name suffix ``_vacuous``) when any
-    layer's constants overflowed their trustworthy range.
+    Measures have at most ``CONTEXT_MAX_ATOMS`` atoms, so the exact
+    oracle is tractable; pairs with W1 below 1e-9 are skipped. The
+    reference bound is the assembled product-form constant, flagged
+    (name suffix ``_vacuous``) when any layer's constants overflowed
+    their trustworthy range.
     """
     from .serialize import measure_to_json
 
@@ -327,8 +305,8 @@ def empirical_context_lipschitz(
         x = sample_in_ball(rng, dom, 1)[0]
         best, witness = 0.0, None
         for _ in range(n_pairs):
-            mu = random_measure(rng, dom, max_atoms=max_atoms)
-            nu = random_measure(rng, dom, max_atoms=max_atoms)
+            mu = random_measure(rng, dom, CONTEXT_MAX_ATOMS)
+            nu = random_measure(rng, dom, CONTEXT_MAX_ATOMS)
             gap = w1_exact(mu, nu)
             if gap < 1e-9:
                 continue
@@ -347,11 +325,7 @@ def empirical_context_lipschitz(
                 }
         return best, witness
 
-    results = _map_trials(trial, n_anchors)
-    stat, witness = 0.0, None
-    for s, w in results:
-        if s > stat:
-            stat, witness = s, w
+    stat, witness = _worst([trial(i) for i in range(n_anchors)])
     name = "context_lipschitz" + ("_vacuous" if vacuous else "")
     entry = CheckResult(name, stat, bound, stat <= bound, n_anchors * n_pairs, seed)
     return entry, witness
@@ -440,12 +414,8 @@ def _fd_sweep(model: ScalarModel, n_trials: int, seed: int):
         cov_min = float(np.linalg.eigvalsh(cov)[0])
         return jac_err, pot_err, asym, cov_min
 
-    res = _map_trials(trial, n_trials)
-    jac_err = max(r[0] for r in res)
-    pot_err = max(r[1] for r in res)
-    asym = max(r[2] for r in res)
-    psd_violation = max(-min(r[3] for r in res), 0.0)
-    return jac_err, pot_err, asym, psd_violation
+    jac_err, pot_err, asym, cov_min = zip(*[trial(i) for i in range(n_trials)])
+    return max(jac_err), max(pot_err), max(asym), max(-min(cov_min), 0.0)
 
 
 def certify_model(

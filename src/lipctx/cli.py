@@ -12,8 +12,7 @@ Subcommands map one-to-one onto the library's public surfaces:
 Exit codes: 0 success with all checks passing, 1 check failure (reports
 are still written), 2 usage or I/O error. Errors go to standard error
 with the machine-parsable prefix ``lipctx-error:``. All randomness is
-seeded through ``--seed`` (default 0); ``LIPCTX_THREADS`` caps internal
-sampling parallelism.
+seeded through ``--seed`` (default 0).
 """
 from __future__ import annotations
 

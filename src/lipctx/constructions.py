@@ -65,6 +65,9 @@ from .transformer import (
 #: Declared radius of identity-attention domains (accepts any input).
 IDENTITY_RADIUS = 1e30
 
+#: Largest sample count ``rsw_interpolate`` accepts.
+RSW_MAX_SAMPLES = 16
+
 #: Default training schedule for separator critics.
 SEPARATOR_TRAIN = TrainConfig(iterations=1500, step_size=0.25, seed=0, width=8, depth=1)
 
@@ -457,7 +460,6 @@ def rsw_interpolate(
     c_budget: float,
     domain: DomainBall | None = None,
     train_cfg: TrainConfig = SEPARATOR_TRAIN,
-    max_samples: int = 16,
 ) -> ScalarModel:
     """max_i min_j of two-point separators through all sample pairs.
 
@@ -473,13 +475,13 @@ def rsw_interpolate(
     One critic is trained per unordered measure pair and negated for the
     swapped orientation. Cost is O(n^2) separators and lattice combines;
     depth grows logarithmically via balanced folds. Capped at
-    ``max_samples`` samples: a desk-scale demonstrator, not a fitter.
+    ``RSW_MAX_SAMPLES`` samples: a desk-scale demonstrator, not a fitter.
     """
     if len(samples) < 1:
         raise IncompatibleTargetsError("need at least one sample")
-    if len(samples) > max_samples:
+    if len(samples) > RSW_MAX_SAMPLES:
         raise CapExceededError(
-            f"{len(samples)} samples exceed the cap of {max_samples}"
+            f"{len(samples)} samples exceed the cap of {RSW_MAX_SAMPLES}"
         )
     triples = [
         (m, np.asarray(q, dtype=np.float64).reshape(-1), float(t))

@@ -26,18 +26,18 @@ covers forming the Gram matrix and the eigensolve (derivation in its
 docstring). The bound exceeds the true norm by a relative 2(n+1)^2 u
 plus N u tr(G)/||G|| at most (u = 2^-53, Gram matrix G of side n, inner
 dimension N), under 1e-10 for matrices up to 400 x 400. The supremum of
-||A y|| over a ball is overapproximated by ||A c|| + r ||A||_2, which is
-sound and cheap. Step clamps accept steps within a relative
-``FEAS_SLACK`` (1e-9, over twice that inflation) above the certified
-bound before projecting; exact constructions (the min/max gate, parallel
-stacks) sit precisely on the *true* feasibility boundary and must not be
-perturbed by certification rounding. The price is that a step admitted
+||A y|| over a ball is bounded by ||A c|| + r ||A||_2, with the rounding
+of A c and of the norms added and the sum rounded up (``ball_sup_ay``).
+Step clamps accept steps within a relative ``FEAS_SLACK`` (1e-9, over
+twice that inflation) above the certified bound before projecting;
+exact constructions (the min/max gate, parallel stacks) sit precisely
+on the *true* feasibility boundary and must not be perturbed by
+certification rounding. The price is that a step admitted
 inside the slack may exceed its true bound 2 / s^2 by the same relative
 1e-9, so such a layer is (1 + 2e-9)-Lipschitz. A step the clamp moves
-lands on the certified bound, below the true one for MLP layers; the
-attention sup rounds ||A c|| to nearest, so its bound can sit a few ulps
-above the true one, well inside that margin. Callers that need a strict
-clamp (the Wasserstein critic) pass ``slack=0``.
+lands on the certified bound, below the true one. Callers that need a
+strict clamp (the Wasserstein critic) pass ``slack=0``. Every attention
+function runs on one kernel, ``_attend``.
 
 Domain membership is enforced fail-closed by ``DomainBall.require``: a
 point is inside the declared ball (c, r) when ||x - c|| <= r + 1e-9, an
@@ -64,6 +64,9 @@ FEAS_SLACK = 1e-9
 
 #: Unit roundoff of IEEE binary64.
 _U = 2.0**-53
+
+#: Smallest || |A| |c| || that ``ball_sup_ay`` bounds through rounding terms.
+_TINY = 2.0**-400
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -187,7 +190,7 @@ def _softmax_batch(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class MlpLayer:
     """Parameters (W, b, tau) of a gradient-descent MLP layer.
 
-    ``cert_spec_norm`` is a certified upper bound on ||W||_2, recomputed
+    ``cert_spec_norm`` is a certified upper bound on ||W||_2, computed
     at construction; the constructor clamps tau into the certified
     feasible interval unless ``clamp=False`` (used by constructions whose
     exact parameters are proven feasible analytically).
@@ -196,7 +199,7 @@ class MlpLayer:
     W: np.ndarray  # (k, d)
     b: np.ndarray  # (k,)
     tau: float
-    cert_spec_norm: float = field(default=None)
+    cert_spec_norm: float = field(init=False)
     clamp: InitVar[bool] = True
     slack: InitVar[float] = FEAS_SLACK
 
@@ -289,8 +292,33 @@ class AttentionLayer:
 
 
 def ball_sup_ay(a: np.ndarray, domain: DomainBall) -> float:
-    """Certified sup of ||A y|| over a ball: ||A c|| + r ||A||_2."""
-    return float(np.linalg.norm(a @ domain.center)) + domain.radius * spectral_norm(a)
+    """Certified sup of ||A y|| over a ball: at least ||A c|| + r ||A||_2.
+
+    For A of shape k x d, u = 2^-53, y^ = fl(A c) and t^ = fl(|A| |c|) in
+    any summation order, with computed norms n1 and n2: |y^ - A c| <=
+    gamma_d |A| |c| and t^ >= (1 - gamma_d) |A| |c| entrywise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, eq. 3.11), and a
+    computed norm of a k-vector is short of the true one by a factor of
+    at most 1 + (k+2) u, so ||A c|| <= (1 + (k+2) u) (n1 + 1.001 d u n2).
+    Gradual underflow adds absolute errors below 2^-530 sqrt(k) d, which
+    the coefficient 2 d u covers while n2 >= 2^-400. Below that,
+    ||A c|| <= || |A| |c| || < 2^-399; with no nonzero product a_ij c_j,
+    A c = 0. Adding r ``spectral_norm(A)`` takes four roundings (results
+    zero or normal); the factor 1 + 2 (k+8) u covers them and the
+    1 + (k+2) u above, so the result rounds up.
+    """
+    k, d = a.shape
+    c = domain.center
+    center = 0.0
+    if a[:, c != 0.0].any():
+        y, t = a @ c, np.abs(a) @ np.abs(c)
+        n2 = math.sqrt(float(t @ t))
+        if n2 >= _TINY:
+            center = math.sqrt(float(y @ y)) + 2.0 * d * _U * n2
+        else:
+            center = 2.0 * _TINY
+    total = center + domain.radius * spectral_norm(a)
+    return total * (1.0 + 2.0 * (k + 8) * _U)
 
 
 def attn_step_bound(a: np.ndarray, domain: DomainBall) -> float:
@@ -328,6 +356,48 @@ def mlp_forward_batch(layer: MlpLayer, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Attention evaluation
 # ---------------------------------------------------------------------------
+def _require_inside(layer: AttentionLayer, points, queries, stage=None) -> None:
+    """Fail closed unless the atoms and every query batch are in the domain."""
+    layer.domain.require(points, "context atom", stage)
+    for q in queries:
+        layer.domain.require(q, "query", stage)
+
+
+def _attend(layer: AttentionLayer, points, weights, queries, stage=None):
+    """The attention kernel: domain checks, A y and the softmax.
+
+    ``points`` and ``weights`` are the atoms in canonical order and
+    ``queries`` a sequence of (m, d) batches. Returns A y over the atoms,
+    shape (n, d), and per batch the (m, n) softmax weights of its scores.
+    """
+    _require_inside(layer, points, queries, stage)
+    ay = points @ layer.A.T
+    return ay, [_softmax_batch(q @ ay.T, weights) for q in queries]
+
+
+def attn_update(
+    layer: AttentionLayer,
+    points: np.ndarray,
+    weights: np.ndarray,
+    queries,
+    stage: int | None = None,
+) -> list:
+    """Attention update of query batches against atoms in canonical order.
+
+    Every batch attends over the same atoms, so passing the atoms as a
+    batch gives the synchronous update of the measure. An identity
+    layer returns the batches once they pass the domain checks.
+    """
+    if layer.is_identity:
+        _require_inside(layer, points, queries, stage)
+        return list(queries)
+    ay, probs = _attend(layer, points, weights, queries, stage)
+    return [
+        q - layer.eta * tree_sum(p.T[:, :, None] * ay[:, None, :])
+        for q, p in zip(queries, probs)
+    ]
+
+
 def attn_apply_batch(
     layer: AttentionLayer,
     mu: EmpiricalMeasure,
@@ -339,18 +409,9 @@ def attn_apply_batch(
     Atom reductions run over the measure's canonical order, so the
     result does not depend on atom storage order.
     """
-    layer.domain.require(mu.points, "context atom", stage)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    layer.domain.require(queries, "query", stage)
-    if layer.is_identity:
-        return queries
     pts, w, _ = mu.canonical()
-    ay = pts @ layer.A.T  # (n, d)
-    scores = queries @ ay.T  # (m, n)
-    p = _softmax_batch(scores, w)
-    # (n, m, d) terms reduced over atoms in canonical order.
-    update = tree_sum(p.T[:, :, None] * ay[:, None, :])
-    return queries - layer.eta * update
+    return attn_update(layer, pts, w, [queries], stage)[0]
 
 
 def attn_forward(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
@@ -358,25 +419,26 @@ def attn_forward(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> 
     return attn_apply_batch(layer, mu, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
+def _softmax_mean(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray):
+    """A y over the canonical atoms, the softmax at ``x`` and their mean."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    pts, w, _ = mu.canonical()
+    ay, (p,) = _attend(layer, pts, w, [x[None, :]])
+    return ay, p[0], tree_sum(p[0][:, None] * ay)
+
+
 def attn_softmax_mean(
     layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
 ) -> np.ndarray:
     """m(x): the softmax-weighted mean of A y, i.e. the potential gradient."""
-    layer.domain.require(mu.points, "context atom")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    layer.domain.require(x, "query")
-    pts, w, _ = mu.canonical()
-    ay = pts @ layer.A.T
-    p = _softmax_batch((x @ ay.T)[None, :], w)[0]
-    return tree_sum(p[:, None] * ay)
+    return _softmax_mean(layer, mu, x)[2]
 
 
 def attn_potential(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> float:
     """lam(mu)(x) = log sum_i w_i exp(<x, A y_i>), max-subtracted."""
-    layer.domain.require(mu.points, "context atom")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    layer.domain.require(x, "query")
     pts, w, _ = mu.canonical()
+    _require_inside(layer, pts, [x[None, :]])
     scores = pts @ (layer.A.T @ x)
     pos = w > 0
     smax = float(np.max(scores[pos]))
@@ -392,13 +454,7 @@ def attn_covariance(
     A weighted sum of symmetric rank-one terms, so it is exactly
     symmetric and PSD up to rounding.
     """
-    layer.domain.require(mu.points, "context atom")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    layer.domain.require(x, "query")
-    pts, w, _ = mu.canonical()
-    ay = pts @ layer.A.T
-    p = _softmax_batch((x @ ay.T)[None, :], w)[0]
-    mean = tree_sum(p[:, None] * ay)
+    ay, p, mean = _softmax_mean(layer, mu, x)
     diffs = ay - mean
     return tree_sum(p[:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
 

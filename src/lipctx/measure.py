@@ -49,7 +49,7 @@ from .errors import (
     InvalidMeasureError,
 )
 
-#: Default cap on n_mu * n_nu transportation cells.
+#: Cap on n_mu * n_nu transportation cells.
 W1_CELL_CAP = 4096
 
 #: Absolute slack of the domain-membership rule (see ``DomainBall.limit``).
@@ -339,9 +339,7 @@ def w1_exact_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return float(np.sum(np.abs(cdf_gap[:-1]) * np.diff(pos)))
 
 
-def w1_exact(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, cell_cap: int = W1_CELL_CAP
-) -> float:
+def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Optimal transportation cost with Euclidean ground cost.
 
     Solves the transportation LP
@@ -349,7 +347,8 @@ def w1_exact(
         min sum_ij gamma_ij ||x_i - y_j||_2
         s.t. row sums = mu weights, column sums = nu weights, gamma >= 0
 
-    to optimality with HiGHS. One marginal constraint is dropped (the
+    to optimality with HiGHS. Instances of more than ``W1_CELL_CAP``
+    cells raise ``CapExceededError``. One marginal constraint is dropped (the
     constraint matrix has rank n + m - 1). Nonnegative, symmetric, and
     agrees with ``w1_exact_1d`` on 1D inputs to well below 1e-9.
     """
@@ -358,9 +357,9 @@ def w1_exact(
             f"measures of dimension {mu.dim} and {nu.dim}"
         )
     n, m = mu.n_atoms, nu.n_atoms
-    if n * m > cell_cap:
+    if n * m > W1_CELL_CAP:
         raise CapExceededError(
-            f"transportation instance has {n * m} cells, cap is {cell_cap}"
+            f"transportation instance has {n * m} cells, cap is {W1_CELL_CAP}"
         )
     cost = np.linalg.norm(
         mu.points[:, None, :] - nu.points[None, :, :], axis=2

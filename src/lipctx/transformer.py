@@ -28,12 +28,15 @@ every atom and query to ||x - c|| <= r + 1e-9 and otherwise raises
 enforcement path: it rewrites every declared domain to the propagated
 ball and re-projects every step size, and is exactly idempotent.
 
-Determinism
------------
-Atom-batch computations run in the measure's canonical atom order and
-are scattered back to storage order, so evaluation is invariant under
-permutations of the stored atoms bit for bit, and repeated runs are
-bit-identical.
+Forward core and determinism
+----------------------------
+One core runs the stack on plain arrays; ``lift``, ``forward_tokens``,
+``evaluate`` and ``evaluate_batch`` wrap it. Blocks move the atoms and
+never change their weights, so no measure is built between stages. The
+atoms are put in the canonical order of their current positions at
+input and before each non-identity attention layer, whose reductions
+run in that order. Evaluation is therefore invariant under permutations
+of the stored atoms bit for bit, and repeated runs are bit-identical.
 """
 from __future__ import annotations
 
@@ -45,12 +48,12 @@ from .errors import DimensionMismatchError
 from .layers import (
     AttentionLayer,
     MlpLayer,
-    attn_apply_batch,
+    attn_update,
     mlp_forward,
     mlp_forward_batch,
     spectral_norm,
 )
-from .measure import DomainBall, EmpiricalMeasure
+from .measure import DomainBall, EmpiricalMeasure, canonical_atom_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +62,7 @@ class Lifting:
 
     A: np.ndarray  # (h, d)
     b: np.ndarray  # (h,)
-    cert_spec_norm: float = field(default=None)
+    cert_spec_norm: float = field(init=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.A, dtype=np.float64)).copy()
@@ -152,7 +155,15 @@ class DomainChain:
 # ---------------------------------------------------------------------------
 # Forward evaluation
 # ---------------------------------------------------------------------------
-def _check_input(model: ScalarModel, mu: EmpiricalMeasure, queries: np.ndarray) -> None:
+def _forward(
+    model: ScalarModel, mu: EmpiricalMeasure, queries: np.ndarray, blocks=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward core on arrays; returns the atoms (storage order) and queries.
+
+    ``order`` holds the storage index of each row of ``pts``; ``blocks``
+    defaults to all of the model's blocks.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     dom = model.input_domain
     if mu.dim != dom.dim:
         raise DimensionMismatchError(
@@ -160,63 +171,41 @@ def _check_input(model: ScalarModel, mu: EmpiricalMeasure, queries: np.ndarray) 
         )
     dom.require(mu.points, "input atom")
     dom.require(queries, "input query")
-
-
-def _map_atoms(mu: EmpiricalMeasure, fn) -> EmpiricalMeasure:
-    """Apply a batch map to the atoms in canonical order, keep storage order."""
-    pts, _, inv = mu.canonical()
-    return EmpiricalMeasure(fn(pts)[inv], mu.weights)
-
-
-def _forward(
-    model: ScalarModel, mu: EmpiricalMeasure, queries: np.ndarray
-) -> tuple[EmpiricalMeasure, np.ndarray]:
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    _check_input(model, mu, queries)
-    meas = _map_atoms(mu, model.lifting.apply_batch)
+    pts, w, inv = mu.canonical()
+    order = np.argsort(inv)
+    pts = model.lifting.apply_batch(pts)
     qs = model.lifting.apply_batch(queries)
-    for stage, (attn, mlp) in enumerate(model.blocks):
-        if attn.is_identity:
-            # Exact identity; membership stays fail-closed.
-            attn.domain.require(meas.points, "context atom", stage)
-            attn.domain.require(qs, "query", stage)
-        else:
-            # Every atom attends over the same pre-update measure.
-            pre = meas
-            meas = _map_atoms(
-                pre, lambda pts: attn_apply_batch(attn, pre, pts, stage=stage)
-            )
-            qs = attn_apply_batch(attn, pre, qs, stage=stage)
-        if mlp.tau != 0.0:
-            meas = _map_atoms(meas, lambda pts: mlp_forward_batch(mlp, pts))
-            qs = mlp_forward_batch(mlp, qs)
-    return meas, qs
+    for stage, (attn, mlp) in enumerate(model.blocks if blocks is None else blocks):
+        if not attn.is_identity:
+            perm = canonical_atom_order(pts, w)
+            pts, w, order = pts[perm], w[perm], order[perm]
+        # Every atom and query attends over the same pre-update atoms.
+        pts, qs = attn_update(attn, pts, w, (pts, qs), stage)
+        pts = mlp_forward_batch(mlp, pts)
+        qs = mlp_forward_batch(mlp, qs)
+    return pts[np.argsort(order)], qs
 
 
 def lift(
     model: ScalarModel, mu: EmpiricalMeasure, x: np.ndarray
 ) -> tuple[EmpiricalMeasure, np.ndarray]:
     """Apply the lifting to query and atoms alike (context-free map)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    _check_input(model, mu, x[None, :])
-    return _map_atoms(mu, model.lifting.apply_batch), model.lifting.apply_batch(
-        x[None, :]
-    )[0]
+    pts, qs = _forward(model, mu, np.reshape(x, (1, -1)), blocks=())
+    return EmpiricalMeasure(pts, mu.weights), qs[0]
 
 
 def forward_tokens(
     model: ScalarModel, mu: EmpiricalMeasure, x: np.ndarray
 ) -> tuple[EmpiricalMeasure, np.ndarray]:
     """Propagate (measure, query) through the full stack."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    meas, qs = _forward(model, mu, x[None, :])
-    return meas, qs[0]
+    pts, qs = _forward(model, mu, np.reshape(x, (1, -1)))
+    return EmpiricalMeasure(pts, mu.weights), qs[0]
 
 
 def evaluate(model: ScalarModel, mu: EmpiricalMeasure, x: np.ndarray) -> float:
     """Scalar output: readout applied to the propagated query."""
-    _, q = forward_tokens(model, mu, x)
-    return float(model.readout @ q)
+    _, qs = _forward(model, mu, np.reshape(x, (1, -1)))
+    return float(model.readout @ qs[0])
 
 
 def evaluate_batch(
@@ -289,31 +278,15 @@ def clamp_model(model: ScalarModel) -> ScalarModel:
 
 
 def models_equal(a: ScalarModel, b: ScalarModel) -> bool:
-    """Bitwise equality of parameters, domains, and certificates."""
-    if a.depth != b.depth:
-        return False
-    if not (
-        np.array_equal(a.lifting.A, b.lifting.A)
-        and np.array_equal(a.lifting.b, b.lifting.b)
-        and np.array_equal(a.readout, b.readout)
-        and np.array_equal(a.input_domain.center, b.input_domain.center)
-        and a.input_domain.radius == b.input_domain.radius
-        and a.lipschitz_c == b.lipschitz_c
-    ):
-        return False
-    for (attn_a, mlp_a), (attn_b, mlp_b) in zip(a.blocks, b.blocks):
-        if not (
-            np.array_equal(attn_a.A, attn_b.A)
-            and attn_a.eta == attn_b.eta
-            and attn_a.sup_ay == attn_b.sup_ay
-            and np.array_equal(attn_a.domain.center, attn_b.domain.center)
-            and attn_a.domain.radius == attn_b.domain.radius
-            and np.array_equal(mlp_a.W, mlp_b.W)
-            and np.array_equal(mlp_a.b, mlp_b.b)
-            and mlp_a.tau == mlp_b.tau
-        ):
-            return False
-    return True
+    """Whether the two models serialize identically.
+
+    The wire format holds every parameter, step size and domain, and
+    certified norms are functions of those. A ``sup_ay`` passed to an
+    attention layer at construction is not serialized and not compared.
+    """
+    from .serialize import model_to_json
+
+    return model_to_json(a) == model_to_json(b)
 
 
 def is_clamped(model: ScalarModel) -> bool:

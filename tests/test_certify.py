@@ -234,14 +234,6 @@ class TestSamplingUtilities:
         b = [r.random() for r in spawn_rngs(42, 4)]
         assert a == b
 
-    def test_thread_pool_does_not_change_reports(self, monkeypatch):
-        model = random_clamped_model(2, 5, 2, seed=30)
-        serial = empirical_query_lipschitz(model, 6, 40, seed=3)
-        monkeypatch.setenv("LIPCTX_THREADS", "4")
-        threaded = empirical_query_lipschitz(model, 6, 40, seed=3)
-        assert serial[0] == threaded[0]
-        assert dumps(serial[1]) == dumps(threaded[1])
-
     def test_ball_sampling_stays_inside(self):
         rng = np.random.default_rng(6)
         ball = DomainBall(np.array([1.0, -2.0, 0.5]), 0.7)

@@ -379,3 +379,28 @@ class TestStepBound:
         a = rng.normal(size=(3, 3))
         layer = AttentionLayer(a, 0.0, dom)
         assert layer.sup_ay == ball_sup_ay(a, dom)
+
+    def test_center_term_never_below_exact(self):
+        # At radius 0 the sup is ||A c|| alone; compared in exact rational
+        # arithmetic, a value rounded to nearest falls below it about half
+        # the time.
+        rng = np.random.default_rng(0)
+        below = 0
+        for _ in range(2000):
+            d = int(rng.integers(2, 9))
+            a = rng.normal(size=(d, d))
+            c = rng.normal(size=d)
+            sup = ball_sup_ay(a, DomainBall(c, 0.0))
+            exact = sum(
+                sum(Fraction(x) * Fraction(y) for x, y in zip(row, c)) ** 2 for row in a
+            )
+            below += Fraction(sup) ** 2 < exact
+            assert sup <= float(np.linalg.norm(a @ c)) * (1 + 1e-12)
+        assert below == 0
+
+    def test_center_term_zero_and_underflow(self):
+        # A zero product set keeps the sup exactly zero; a product that
+        # underflows to zero is still bounded from above.
+        assert ball_sup_ay(np.eye(2), DomainBall(np.zeros(2), 0.0)) == 0.0
+        tiny = np.array([1e-300, 0.0])
+        assert ball_sup_ay(np.diag([1e-300, 1.0]), DomainBall(tiny, 0.0)) > 0.0

@@ -5,7 +5,7 @@ import pytest
 from lipctx.certify import random_clamped_model, sample_in_ball
 from lipctx.errors import DimensionMismatchError, DomainViolationError
 from lipctx.layers import AttentionLayer, MlpLayer, attn_step_bound
-from lipctx.measure import DomainBall, new_empirical
+from lipctx.measure import DomainBall, EmpiricalMeasure, new_empirical
 from lipctx.transformer import (
     Lifting,
     ScalarModel,
@@ -275,6 +275,26 @@ class TestDeterminism:
         got_meas, got_q = forward_tokens(second, mid_meas, mid_q)
         np.testing.assert_array_equal(got_q, full_q)
         np.testing.assert_array_equal(got_meas.points, full_meas.points)
+
+    def test_forward_builds_no_stage_measures(self, monkeypatch):
+        # The stack runs on arrays: evaluate_batch builds no measure and
+        # forward_tokens builds only the one it returns.
+        model = random_clamped_model(3, 6, 3, seed=4)
+        rng = np.random.default_rng(10)
+        mu = new_empirical(sample_in_ball(rng, model.input_domain, 6))
+        xs = sample_in_ball(rng, model.input_domain, 4)
+        builds = []
+        original = EmpiricalMeasure.__post_init__
+
+        def counting(self):
+            builds.append(1)
+            original(self)
+
+        monkeypatch.setattr(EmpiricalMeasure, "__post_init__", counting)
+        evaluate_batch(model, mu, xs)
+        assert len(builds) == 0
+        forward_tokens(model, mu, xs[0])
+        assert len(builds) == 1
 
     def test_repeat_evaluation_bit_identical(self):
         model = random_clamped_model(3, 6, 2, seed=3)
