@@ -66,13 +66,10 @@ from .layers import (
     spectral_norm,
 )
 from .measure import (
-    Coupling,
     DomainBall,
     EmpiricalMeasure,
     bounding_ball,
     new_empirical,
-    pair_coupling,
-    pushforward,
     w1_exact,
     w1_exact_1d,
 )

@@ -514,12 +514,13 @@ def rsw_interpolate(
     if n == 1:
         return _constant_model(kept[0][2], domain, c_budget)
 
+    w1 = np.zeros((n, n))
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = float(
-                np.linalg.norm(kept[i][1] - kept[j][1])
-            ) + c_budget * w1_exact(kept[i][0], kept[j][0])
+            w1[i, j] = w1_exact(kept[i][0], kept[j][0])
+            q_gap = float(np.linalg.norm(kept[i][1] - kept[j][1]))
+            dist[i, j] = dist[j, i] = q_gap + c_budget * w1[i, j]
     targets = np.array([t for _, _, t in kept])
     binding = False
     for i in range(n):
@@ -538,8 +539,8 @@ def rsw_interpolate(
     critics: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if w1_exact(kept[i][0], kept[j][0]) > 1e-12:
-                gap_w1 = w1_exact(kept[i][0], kept[j][0])
+            gap_w1 = float(w1[i, j])
+            if gap_w1 > 1e-12:
                 slackness = dist[i, j] - abs(targets[i] - targets[j])
                 eps = max(min(slackness / (2.0 * c_budget), gap_w1 * 0.05), 1e-12)
                 cfg = dataclasses.replace(

@@ -16,13 +16,20 @@ The product of certified factors stays below one, so ``kr_objective``
 never exceeds the exact W1 value (up to 1e-9) at any point of training;
 this duality soundness is the module's load-bearing invariant and is why
 the projection uses strict clamps (slack 0) rather than the tolerant
-clamp used elsewhere.
+clamp used elsewhere. The rescalings round: when s = ``spectral_norm(A_q)``
+exceeds one, each entry of fl(A_q / s) is off by at most u = 2^-53
+relative and s >= ||A_q||_2, so ||fl(A_q / s)||_2 <= 1 + u sqrt(min(h, d))
+for A_q of shape h x d (barring underflow); the readout likewise ends
+within (h + 2) u of the unit ball.
 
 Training is plain projected gradient ascent with hand-rolled
 reverse-mode gradients (ReLU subgradient 0 at the kink) and best-iterate
 selection: ascent at a fixed step can oscillate, and duality makes every
-projected iterate a valid bound, so keeping the best seen is free.
-Everything is seeded and bit-reproducible.
+projected iterate a valid bound, so keeping the best seen is free. The
+iterate is kept as arrays ``(A_q, b_q, [(W, b, tau)], v)``; a step is one
+``_project`` and, per measure, one ``_side`` pass (forward, then reverse
+on the same activations). A ``Critic`` is built only for the returned
+iterate. Everything is seeded and bit-reproducible.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidMeasureError
-from .layers import MlpLayer, clamp_step
+from .layers import MlpLayer, clamp_step, spectral_norm
 from .measure import EmpiricalMeasure, tree_sum, w1_exact
 from .transformer import Lifting
 
@@ -105,7 +112,90 @@ class GradientSet:
 
 
 # ---------------------------------------------------------------------------
-# Forward evaluation
+# Array core: parameters (A_q, b_q, [(W, b, tau)], v)
+# ---------------------------------------------------------------------------
+def _params(c: Critic) -> tuple:
+    return c.lifting.A, c.lifting.b, [(l.W, l.b, l.tau) for l in c.stack], c.readout
+
+
+def _critic(params: tuple) -> Critic:
+    """The critic of a projected iterate; its taus are already clamped."""
+    a_q, b_q, layers, v = params
+    stack = tuple(MlpLayer(w, b, tau, clamp=False) for w, b, tau in layers)
+    return Critic(Lifting(a_q, b_q), stack, v)
+
+
+def _canonical_sides(mu: EmpiricalMeasure, nu: EmpiricalMeasure, in_dim: int) -> list:
+    """Canonical (points, weights) of both measures, dimensions checked."""
+    if mu.dim != nu.dim or mu.dim != in_dim:
+        raise DimensionMismatchError("measure/critic dimension mismatch")
+    return [m.canonical()[:2] for m in (mu, nu)]
+
+
+def _project(params: tuple) -> tuple:
+    """``project_params`` on arrays."""
+    a_q, b_q, layers, v = params
+    s = spectral_norm(a_q)
+    if s > 1.0:
+        a_q = a_q / s
+    projected = []
+    for w, b, tau in layers:
+        if not (np.all(np.isfinite(b)) and math.isfinite(tau)):
+            raise InvalidMeasureError("non-finite MLP parameters")
+        projected.append((w, b, clamp_step(tau, spectral_norm(w), 0.0)))
+    nrm = float(np.linalg.norm(v))
+    if nrm > 1.0:
+        v = v / nrm
+    return a_q, b_q, projected, v
+
+
+def _forward(params: tuple, pts: np.ndarray) -> tuple[list, list]:
+    """Activations after the lifting and after each layer; pre-activations."""
+    a_q, b_q, layers, _ = params
+    acts = [pts @ a_q.T + b_q]
+    pres = []
+    for w, b, tau in layers:
+        pre = acts[-1] @ w.T + b
+        pres.append(pre)
+        acts.append(acts[-1] - tau * (np.maximum(pre, 0.0) @ w))
+    return acts, pres
+
+
+def _side(params: tuple, pts: np.ndarray, w: np.ndarray) -> tuple[float, tuple]:
+    """sum_i w_i phi(x_i) over one measure, and its gradients shaped as ``params``."""
+    _, _, layers, v = params
+    acts, pres = _forward(params, pts)
+    value = float(tree_sum(w * (acts[-1] @ v)))
+    grad_v = tree_sum(w[:, None] * acts[-1])
+    gbar = np.tile(v, (pts.shape[0], 1))
+    layer_grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        wk, _, tau = layers[k]
+        pre = pres[k]
+        relu = np.maximum(pre, 0.0)
+        mask = (pre > 0.0).astype(np.float64)  # subgradient 0 at the kink
+        wg = gbar @ wk.T
+        mwg = mask * wg
+        g_tau = tree_sum(w * (-np.sum(wg * relu, axis=1)))
+        outer = relu[:, :, None] * gbar[:, None, :]
+        outer = outer + mwg[:, :, None] * acts[k][:, None, :]
+        g_w = tree_sum(w[:, None, None] * (-tau * outer))
+        layer_grads[k] = (g_w, tree_sum(w[:, None] * (-tau * mwg)), float(g_tau))
+        gbar = gbar - tau * (mwg @ wk)
+    grad_aq = tree_sum(w[:, None, None] * (gbar[:, :, None] * pts[:, None, :]))
+    grad_bq = tree_sum(w[:, None] * gbar)
+    return value, (grad_aq, grad_bq, layer_grads, grad_v)
+
+
+def _objective(params: tuple, sides: list) -> tuple[float, tuple]:
+    """The objective and its gradients: mu's side minus nu's."""
+    (fm, gm), (fn, gn) = (_side(params, pts, w) for pts, w in sides)
+    layers = tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(gm[2], gn[2]))
+    return fm - fn, (gm[0] - gn[0], gm[1] - gn[1], layers, gm[3] - gn[3])
+
+
+# ---------------------------------------------------------------------------
+# Public functions on Critic objects, wrapping the same core
 # ---------------------------------------------------------------------------
 def critic_value(c: Critic, z: np.ndarray) -> float:
     return float(critic_value_batch(c, np.asarray(z, dtype=np.float64)[None, :])[0])
@@ -117,116 +207,40 @@ def critic_value_batch(c: Critic, zs: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"inputs of dim {zs.shape[1]} for critic of input dim {c.in_dim}"
         )
-    out = c.lifting.apply_batch(zs)
-    for layer in c.stack:
-        pre = out @ layer.W.T + layer.b
-        out = out - layer.tau * (np.maximum(pre, 0.0) @ layer.W)
-    return out @ c.readout
+    return _forward(_params(c), zs)[0][-1] @ c.readout
 
 
 def kr_objective(c: Critic, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """integral of phi d(mu - nu), reduced in canonical atom order.
 
     Computed as two separate weighted tree sums and subtracted, so
-    identical measures give exactly zero.
+    identical measures give exactly zero. The same reduction as
+    ``_side``'s value, without the reverse pass.
     """
-    if mu.dim != nu.dim or mu.dim != c.in_dim:
-        raise DimensionMismatchError("measure/critic dimension mismatch")
-    side = []
-    for m in (mu, nu):
-        pts, w, _ = m.canonical()
-        side.append(float(tree_sum(w * critic_value_batch(c, pts))))
-    return side[0] - side[1]
-
-
-# ---------------------------------------------------------------------------
-# Reverse-mode gradients
-# ---------------------------------------------------------------------------
-def _side_grads(c: Critic, m: EmpiricalMeasure) -> GradientSet:
-    """Weighted parameter gradients of sum_i w_i phi(x_i) for one side."""
-    pts, w, _ = m.canonical()
-    n = pts.shape[0]
-    acts = [c.lifting.apply_batch(pts)]
-    pres = []
-    for layer in c.stack:
-        pre = acts[-1] @ layer.W.T + layer.b
-        pres.append(pre)
-        acts.append(acts[-1] - layer.tau * (np.maximum(pre, 0.0) @ layer.W))
-    grad_v = tree_sum(w[:, None] * acts[-1])
-    gbar = np.tile(c.readout, (n, 1))
-    layer_grads: list[tuple] = [None] * len(c.stack)
-    for k in range(len(c.stack) - 1, -1, -1):
-        layer = c.stack[k]
-        pre = pres[k]
-        relu = np.maximum(pre, 0.0)
-        mask = (pre > 0.0).astype(np.float64)  # subgradient 0 at the kink
-        wg = gbar @ layer.W.T
-        mwg = mask * wg
-        g_tau = tree_sum(w * (-np.sum(wg * relu, axis=1)))
-        g_w = tree_sum(
-            w[:, None, None]
-            * (
-                -layer.tau
-                * (
-                    relu[:, :, None] * gbar[:, None, :]
-                    + mwg[:, :, None] * acts[k][:, None, :]
-                )
-            )
-        )
-        g_b = tree_sum(w[:, None] * (-layer.tau * mwg))
-        layer_grads[k] = (g_w, g_b, float(g_tau))
-        gbar = gbar - layer.tau * (mwg @ layer.W)
-    grad_aq = tree_sum(w[:, None, None] * (gbar[:, :, None] * pts[:, None, :]))
-    grad_bq = tree_sum(w[:, None] * gbar)
-    return GradientSet(grad_aq, grad_bq, tuple(layer_grads), grad_v)
+    sides = _canonical_sides(mu, nu, c.in_dim)
+    fm, fn = (float(tree_sum(w * critic_value_batch(c, pts))) for pts, w in sides)
+    return fm - fn
 
 
 def critic_grads(c: Critic, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> GradientSet:
     """Exact reverse-mode partials of ``kr_objective``."""
-    if mu.dim != nu.dim or mu.dim != c.in_dim:
-        raise DimensionMismatchError("measure/critic dimension mismatch")
-    gm = _side_grads(c, mu)
-    gn = _side_grads(c, nu)
-    return GradientSet(
-        gm.a_q - gn.a_q,
-        gm.b_q - gn.b_q,
-        tuple(
-            (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-            for a, b in zip(gm.layers, gn.layers)
-        ),
-        gm.readout - gn.readout,
-    )
+    return GradientSet(*_objective(_params(c), _canonical_sides(mu, nu, c.in_dim))[1])
 
 
-# ---------------------------------------------------------------------------
-# Projection and training
-# ---------------------------------------------------------------------------
 def project_params(c: Critic) -> Critic:
     """Project onto the certified-1-Lipschitz parameter set (strict).
 
     Readout scaled into the unit ball, lifting scaled by its certified
-    spectral bound when above one, every tau strictly clamped. The
-    certified bounds are upper bounds, so the composite's true Lipschitz
-    constant ends at most one. Idempotent within 1e-12. A layer whose
-    tau already meets the strict clamp (``train_critic`` builds its
-    layers with ``slack=0``) is kept, not rebuilt.
+    spectral bound when above one, every tau strictly clamped, so the
+    true Lipschitz constant ends at most one up to the rounding bounded
+    in the module docstring. Idempotent within 1e-12.
     """
-    a_q = c.lifting.A
-    s = c.lifting.cert_spec_norm
-    lifting = c.lifting if s <= 1.0 else Lifting(a_q / s, c.lifting.b)
-    stack = tuple(
-        layer
-        if clamp_step(layer.tau, layer.cert_spec_norm, 0.0) == layer.tau
-        else MlpLayer(layer.W, layer.b, layer.tau, slack=0.0)
-        for layer in c.stack
-    )
-    v = c.readout
-    nrm = float(np.linalg.norm(v))
-    if nrm > 1.0:
-        v = v / nrm
-    return Critic(lifting, stack, v)
+    return _critic(_project(_params(c)))
 
 
+# ---------------------------------------------------------------------------
+# Training
+# ---------------------------------------------------------------------------
 def train_critic(
     mu: EmpiricalMeasure,
     nu: EmpiricalMeasure,
@@ -248,48 +262,32 @@ def train_critic(
     rng = np.random.default_rng(cfg.seed)
     d, h = mu.dim, cfg.width
     a_q = rng.uniform(-1.0, 1.0, (h, d)) / math.sqrt(d)
-    b_q = np.zeros(h)
-    stack = []
+    layers = []
     for _ in range(cfg.depth):
         w = rng.uniform(-1.0, 1.0, (h, h)) * (1.5 / math.sqrt(h))
-        b = rng.uniform(-0.3, 0.3, h)
-        stack.append(MlpLayer(w, b, 1.0, slack=0.0))
+        layers.append((w, rng.uniform(-0.3, 0.3, h), 1.0))
     v = rng.uniform(-1.0, 1.0, h) / math.sqrt(h)
-    c = project_params(Critic(Lifting(a_q, b_q), tuple(stack), v))
-    best = c
-    best_obj = kr_objective(c, mu, nu)
+    sides = _canonical_sides(mu, nu, d)
+    best = params = _project((a_q, np.zeros(h), layers, v))
+    best_obj, grads = _objective(params, sides)
     if on_iterate is not None:
         on_iterate(0, best_obj)
     step = cfg.step_size
-    if target is not None and best_obj >= target:
-        return best, best_obj
     for t in range(1, cfg.iterations + 1):
-        g = critic_grads(c, mu, nu)
-        new_stack = tuple(
-            MlpLayer(
-                layer.W + step * gw,
-                layer.b + step * gb,
-                layer.tau + step * gt,
-                slack=0.0,
-            )
-            for layer, (gw, gb, gt) in zip(c.stack, g.layers)
-        )
-        c = project_params(
-            Critic(
-                Lifting(c.lifting.A + step * g.a_q, c.lifting.b + step * g.b_q),
-                new_stack,
-                c.readout + step * g.readout,
-            )
-        )
-        obj = kr_objective(c, mu, nu)
+        if target is not None and best_obj >= target:
+            break
+        (a_q, b_q, layers, v), (g_a, g_b, g_layers, g_v) = params, grads
+        layers = [
+            (w + step * gw, b + step * gb, tau + step * gt)
+            for (w, b, tau), (gw, gb, gt) in zip(layers, g_layers)
+        ]
+        params = _project((a_q + step * g_a, b_q + step * g_b, layers, v + step * g_v))
+        obj, grads = _objective(params, sides)
         if on_iterate is not None:
             on_iterate(t, obj)
         if obj > best_obj:
-            best_obj = obj
-            best = c
-        if target is not None and best_obj >= target:
-            break
-    return best, best_obj
+            best, best_obj = params, obj
+    return _critic(best), best_obj
 
 
 def kr_gap(

@@ -14,6 +14,7 @@ import time
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from couplings import pair_coupling, pushforward
 from lipctx import serialize
 from lipctx.certify import (
     context_lipschitz_bound,
@@ -41,8 +42,6 @@ from lipctx.layers import (
 from lipctx.measure import (
     DomainBall,
     new_empirical,
-    pair_coupling,
-    pushforward,
     w1_exact,
     w1_exact_1d,
 )

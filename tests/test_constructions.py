@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from couplings import pair_coupling, pushforward
 from lipctx.certify import random_clamped_model, sample_in_ball
 from lipctx.constructions import (
     identity_block,
@@ -32,8 +33,6 @@ from lipctx.layers import (
 from lipctx.measure import (
     DomainBall,
     new_empirical,
-    pair_coupling,
-    pushforward,
     w1_exact,
 )
 from lipctx.transformer import (

@@ -1,7 +1,13 @@
 """Critic value/gradients/projection/training and duality soundness."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lipctx import critic as critic_module
+from lipctx import layers, transformer
 from lipctx.critic import (
     Critic,
     TrainConfig,
@@ -14,9 +20,43 @@ from lipctx.critic import (
     train_critic,
 )
 from lipctx.errors import InvalidMeasureError
-from lipctx.layers import MlpLayer
+from lipctx.layers import MlpLayer, spectral_norm
 from lipctx.measure import new_empirical, w1_exact
 from lipctx.transformer import Lifting
+
+
+def reference_train(mu, nu, cfg, target=None):
+    """``train_critic`` as a loop over the public objects, step by step.
+
+    Returns the best critic, its objective and the objective trace.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    d, h = mu.dim, cfg.width
+    a_q = rng.uniform(-1.0, 1.0, (h, d)) / math.sqrt(d)
+    stack = []
+    for _ in range(cfg.depth):
+        w = rng.uniform(-1.0, 1.0, (h, h)) * (1.5 / math.sqrt(h))
+        b = rng.uniform(-0.3, 0.3, h)
+        stack.append(MlpLayer(w, b, 1.0, slack=0.0))
+    v = rng.uniform(-1.0, 1.0, h) / math.sqrt(h)
+    c = project_params(Critic(Lifting(a_q, np.zeros(h)), tuple(stack), v))
+    trace = [kr_objective(c, mu, nu)]
+    best, best_obj = c, trace[0]
+    step = cfg.step_size
+    for _ in range(cfg.iterations):
+        if target is not None and best_obj >= target:
+            break
+        g = critic_grads(c, mu, nu)
+        stack = tuple(
+            MlpLayer(l.W + step * gw, l.b + step * gb, l.tau + step * gt, slack=0.0)
+            for l, (gw, gb, gt) in zip(c.stack, g.layers)
+        )
+        lifting = Lifting(c.lifting.A + step * g.a_q, c.lifting.b + step * g.b_q)
+        c = project_params(Critic(lifting, stack, c.readout + step * g.readout))
+        trace.append(kr_objective(c, mu, nu))
+        if trace[-1] > best_obj:
+            best, best_obj = c, trace[-1]
+    return best, best_obj, trace
 
 
 def random_critic(seed, d=2, width=6, depth=2, project=True):
@@ -217,6 +257,75 @@ class TestTrainCritic:
         )
         assert est >= 0.5
         assert len(trace) < 5000  # stopped well before the cap
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 3),
+        width=st.integers(1, 6),
+        depth=st.integers(0, 2),
+        step=st.sampled_from([0.1, 0.25, 1.0]),
+        iterations=st.integers(1, 25),
+        target=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_matches_step_by_step_loop(self, seed, d, width, depth, step,
+                                       iterations, target):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        mu = new_empirical(rng.normal(size=(n, d)), rng.uniform(0.1, 1.0, n))
+        nu = new_empirical(rng.normal(size=(int(rng.integers(1, 6)), d)))
+        cfg = TrainConfig(iterations=iterations, step_size=step, seed=seed,
+                          width=width, depth=depth)
+        trace = []
+        got, got_obj = train_critic(
+            mu, nu, cfg, on_iterate=lambda t, o: trace.append(o), target=target
+        )
+        want, want_obj, want_trace = reference_train(mu, nu, cfg, target)
+        assert trace == want_trace
+        assert got_obj == want_obj
+        np.testing.assert_array_equal(got.lifting.A, want.lifting.A)
+        np.testing.assert_array_equal(got.lifting.b, want.lifting.b)
+        np.testing.assert_array_equal(got.readout, want.readout)
+        assert len(got.stack) == len(want.stack) == depth
+        for l1, l2 in zip(got.stack, want.stack):
+            np.testing.assert_array_equal(l1.W, l2.W)
+            np.testing.assert_array_equal(l1.b, l2.b)
+            assert l1.tau == l2.tau
+
+    def test_builds_one_critic_per_call(self, monkeypatch):
+        # The iterate stays in arrays: one Lifting, one Critic and one
+        # MlpLayer per layer are built, for the returned critic only, and
+        # a depth-1 step takes two spectral norms (lifting and layer).
+        rng = np.random.default_rng(14)
+        mu = new_empirical(rng.normal(size=(4, 2)))
+        nu = new_empirical(rng.normal(size=(3, 2)))
+        counts = {}
+
+        def count_builds(cls):
+            original = cls.__post_init__
+
+            def counted(*args, **kwargs):
+                counts[cls] = counts.get(cls, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        for cls in (Lifting, MlpLayer, Critic):
+            count_builds(cls)
+        norms = []
+        counted_norm = lambda m: norms.append(1) or spectral_norm(m)  # noqa: E731
+        for module in (layers, transformer, critic_module):
+            monkeypatch.setattr(module, "spectral_norm", counted_norm, raising=False)
+        per_call = {}
+        for iterations in (1, 10, 20):
+            counts.clear()
+            norms.clear()
+            cfg = TrainConfig(iterations=iterations, step_size=0.25, seed=3,
+                              width=5, depth=1)
+            train_critic(mu, nu, cfg)
+            assert counts == {Lifting: 1, MlpLayer: 1, Critic: 1}
+            per_call[iterations] = len(norms)
+        assert per_call[20] - per_call[10] == 2 * 10
 
     def test_config_validation(self):
         with pytest.raises(InvalidMeasureError):

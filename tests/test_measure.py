@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from couplings import pair_coupling, pushforward
 from lipctx.errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -24,8 +25,6 @@ from lipctx.measure import (
     bounding_ball,
     canonical_atom_order,
     new_empirical,
-    pair_coupling,
-    pushforward,
     tree_sum,
     w1_exact,
     w1_exact_1d,
