@@ -7,7 +7,8 @@ against an independent numerical route:
   * context Lipschitzness    -- sampled measure pairs against the exact
                                 W1 oracle, with an assembled per-layer
                                 constant as the sound reference bound;
-  * Jacobian = I - eta*Cov   -- central finite differences;
+  * Jacobian = I - eta*Cov   -- central finite differences, the 2d probes
+                                x +- h e_i run as one query batch;
   * update = -eta * grad lam -- central finite differences of the
                                 potential.
 
@@ -53,9 +54,9 @@ from .errors import BoundaryProximityError, NotClampedError
 from .layers import (
     AttentionLayer,
     MlpLayer,
+    attn_apply_batch,
     attn_covariance,
     attn_forward,
-    attn_jacobian,
     attn_potential,
     attn_softmax_mean,
     ball_sup_ay,
@@ -347,23 +348,29 @@ def _require_interior(layer: AttentionLayer, x: np.ndarray, steps: np.ndarray) -
         )
 
 
+def _jacobian_fd(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray):
+    """(FD gap, analytic Jacobian I - eta * Cov, Cov) at ``x``.
+
+    One covariance gives the Jacobian; the 2d central-difference probes
+    x +- h_i e_i go through one ``attn_apply_batch`` call.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    steps = _fd_steps(x)
+    _require_interior(layer, x, steps)
+    cov = attn_covariance(layer, mu, x)
+    d = x.shape[0]
+    jac = np.eye(d) - layer.eta * cov  # attn_jacobian, same bits
+    probes = np.diag(steps)
+    out = attn_apply_batch(layer, mu, np.vstack([x + probes, x - probes]))
+    fd = ((out[:d] - out[d:]) / (2.0 * steps)[:, None]).T
+    return float(np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(fd)))), jac, cov
+
+
 def jacobian_fd_check(
     layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
 ) -> float:
     """Max relative entrywise gap between analytic and central-FD Jacobian."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    steps = _fd_steps(x)
-    _require_interior(layer, x, steps)
-    jac = attn_jacobian(layer, mu, x)
-    d = x.shape[0]
-    fd = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = steps[i]
-        fd[:, i] = (attn_forward(layer, mu, x + e) - attn_forward(layer, mu, x - e)) / (
-            2.0 * steps[i]
-        )
-    return float(np.max(np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))))
+    return _jacobian_fd(layer, mu, x)[0]
 
 
 def potential_grad_check(
@@ -396,7 +403,10 @@ def potential_grad_check(
 # Full-model certification
 # ---------------------------------------------------------------------------
 def _fd_sweep(model: ScalarModel, n_trials: int, seed: int):
-    """Jacobian/potential FD errors plus symmetry and PSD margins."""
+    """Jacobian/potential FD errors plus symmetry and PSD margins.
+
+    Each trial forms one covariance, which gives all but the potential.
+    """
     layers = [attn for attn, _ in model.blocks]
     rngs = spawn_rngs(seed, n_trials)
 
@@ -406,10 +416,8 @@ def _fd_sweep(model: ScalarModel, n_trials: int, seed: int):
         interior = DomainBall(attn.domain.center, attn.domain.radius * 0.8)
         mu = random_measure(rng, interior, max_atoms=16)
         x = sample_in_ball(rng, interior, 1)[0]
-        jac_err = jacobian_fd_check(attn, mu, x)
+        jac_err, jac, cov = _jacobian_fd(attn, mu, x)
         pot_err = potential_grad_check(attn, mu, x)
-        cov = attn_covariance(attn, mu, x)
-        jac = np.eye(attn.dim) - attn.eta * cov  # attn_jacobian, same bits
         asym = float(np.max(np.abs(jac - jac.T)))
         cov_min = float(np.linalg.eigvalsh(cov)[0])
         return jac_err, pot_err, asym, cov_min

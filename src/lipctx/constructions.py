@@ -135,11 +135,9 @@ def parallel_mlp(f: MlpLayer, fp: MlpLayer) -> MlpLayer:
     return MlpLayer(w, b, 1.0)
 
 
-def _enclosing_ball(ball_a: DomainBall, ball_b: DomainBall, extra: float = 0.0) -> DomainBall:
-    """Ball around a product of balls (and optionally a fixed coordinate)."""
-    center = np.concatenate(
-        [ball_a.center, ball_b.center] + ([np.array([extra])] if extra else [])
-    )
+def _enclosing_ball(ball_a: DomainBall, ball_b: DomainBall) -> DomainBall:
+    """Ball around a product of balls."""
+    center = np.concatenate([ball_a.center, ball_b.center])
     return DomainBall(center, math.hypot(ball_a.radius, ball_b.radius))
 
 
@@ -214,25 +212,15 @@ def lattice_combine(a: ScalarModel, b: ScalarModel, kind: str) -> ScalarModel:
         np.vstack([a.lifting.A, b.lifting.A]),
         np.concatenate([a.lifting.b, b.lifting.b]),
     )
+    id_attn, id_mlp = identity_block(width)
     blocks = []
     for (attn_a, mlp_a), (attn_b, mlp_b) in zip(a.blocks, b.blocks):
-        # Two block layers are only needed when both sides attend; an
-        # identity side rides along inside the other side's block layer.
-        merged_mlp = parallel_mlp(mlp_a, mlp_b)
-        if attn_a.is_identity and attn_b.is_identity:
-            id_attn, _ = identity_block(width)
-            blocks.append((id_attn, merged_mlp))
-        elif attn_b.is_identity:
-            g1, _ = parallel_attention(attn_a, attn_b)
-            blocks.append((g1, merged_mlp))
-        elif attn_a.is_identity:
-            _, g2 = parallel_attention(attn_a, attn_b)
-            blocks.append((g2, merged_mlp))
-        else:
-            g1, g2 = parallel_attention(attn_a, attn_b)
-            _, id_mlp = identity_block(width)
-            blocks.append((g1, id_mlp))
-            blocks.append((g2, merged_mlp))
+        # A block layer is only needed for a side that attends; an identity
+        # side rides along inside the other side's block layer.
+        attns = [g for g in parallel_attention(attn_a, attn_b) if not g.is_identity]
+        attns = attns or [id_attn]
+        mlps = [id_mlp] * (len(attns) - 1) + [parallel_mlp(mlp_a, mlp_b)]
+        blocks.extend(zip(attns, mlps))
 
     c_out = max(a.lipschitz_c, b.lipschitz_c)
     norm_a = float(np.linalg.norm(a.readout))
@@ -248,7 +236,6 @@ def lattice_combine(a: ScalarModel, b: ScalarModel, kind: str) -> ScalarModel:
         gate, readout = _gate_mlp(va, vb, 0, ha, width, kind)
     else:
         gate, readout = _gate_mlp(vb, va, ha, 0, width, kind)
-    id_attn, _ = identity_block(width)
     blocks.append((id_attn, gate))
     return ScalarModel(
         lifting, tuple(blocks), scale * readout, a.input_domain, c_out
@@ -300,7 +287,7 @@ def kr_integrator(critic: Critic, c_budget: float, domain: DomainBall) -> Scalar
             prefix.lifting, prefix.blocks, np.zeros(h + 1), domain, c_budget
         )
     eta = 2.0 / (sup * sup)
-    int_layer = AttentionLayer(a_int, eta, image_ball)
+    int_layer = AttentionLayer(a_int, eta, image_ball, sup_ay=sup)
     _, id_mlp = identity_block(h + 1)
     readout = np.zeros(h + 1)
     readout[h] = -c_budget / int_layer.eta
@@ -321,13 +308,11 @@ def _embed_model_with_query_branch(
     v_query: np.ndarray,
     domain: DomainBall,
     c_budget: float,
-    readout_scale: float = 1.0,
-    readout_const: float = 0.0,
 ) -> ScalarModel:
     """Stack identity-query branch, optional KR branch, and a constant 1.
 
     The model's query pipeline is (x, kr-pipeline(x), 1); the readout
-    (s*v_query, s*v_kr, const) realizes s*(Lambda_x + Lambda_kr) + const.
+    (v_query, v_kr, 0) realizes Lambda_x + Lambda_kr.
     """
     d = domain.dim
     parts_a = [np.eye(d)]
@@ -357,10 +342,9 @@ def _embed_model_with_query_branch(
             w_emb[:, d : d + wk] = mlp_k.W
             blocks.append((attn_emb, MlpLayer(w_emb, mlp_k.b, mlp_k.tau)))
     readout = np.zeros(width)
-    readout[:d] = readout_scale * v_query
+    readout[:d] = v_query
     if kr_model is not None:
-        readout[d : d + wk] = readout_scale * kr_model.readout
-    readout[-1] = readout_const
+        readout[d : d + wk] = kr_model.readout
     return ScalarModel(lifting, tuple(blocks), readout, domain, c_budget)
 
 
@@ -427,8 +411,10 @@ def separator(
         )
     alpha = (a - b) / diff
     beta = b - alpha * val_b
-    return _embed_model_with_query_branch(
-        kr_model, v_query, domain, c_budget, readout_scale=alpha, readout_const=beta
+    # The readout (alpha v_query, alpha v_kr, beta) realizes
+    # alpha (Lambda_x + Lambda_kr) + beta on the constant-1 coordinate.
+    return dataclasses.replace(
+        unscaled, readout=np.append(alpha * unscaled.readout[:-1], beta)
     )
 
 

@@ -36,8 +36,11 @@ certification rounding. The price is that a step admitted
 inside the slack may exceed its true bound 2 / s^2 by the same relative
 1e-9, so such a layer is (1 + 2e-9)-Lipschitz. A step the clamp moves
 lands on the certified bound, below the true one. Callers that need a
-strict clamp (the Wasserstein critic) pass ``slack=0``. Every attention
-function runs on one kernel, ``_attend``.
+strict clamp (the Wasserstein critic) call ``clamp_step`` with slack 0
+and build the layer with ``clamp=False``. Attention runs on one kernel,
+``_attend``. The forward pass updates atoms and queries in one call,
+which checks the atoms against the domain once; an identity layer runs
+the checks alone.
 
 Domain membership is enforced fail-closed by ``DomainBall.require``: a
 point is inside the declared ball (c, r) when ||x - c|| <= r + 1e-9, an
@@ -201,9 +204,8 @@ class MlpLayer:
     tau: float
     cert_spec_norm: float = field(init=False)
     clamp: InitVar[bool] = True
-    slack: InitVar[float] = FEAS_SLACK
 
-    def __post_init__(self, clamp: bool, slack: float):
+    def __post_init__(self, clamp: bool):
         w = np.atleast_2d(np.asarray(self.W, dtype=np.float64)).copy()
         bias = np.asarray(self.b, dtype=np.float64).reshape(-1).copy()
         if bias.shape[0] != w.shape[0]:
@@ -217,7 +219,7 @@ class MlpLayer:
         if not np.isfinite(tau):
             raise InvalidMeasureError("non-finite tau")
         if clamp:
-            tau = clamp_step(tau, cert, slack)
+            tau = clamp_step(tau, cert)
         w.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "W", w)
@@ -250,9 +252,8 @@ class AttentionLayer:
     domain: DomainBall
     sup_ay: float = field(default=None)
     clamp: InitVar[bool] = True
-    slack: InitVar[float] = FEAS_SLACK
 
-    def __post_init__(self, clamp: bool, slack: float):
+    def __post_init__(self, clamp: bool):
         a = np.atleast_2d(np.asarray(self.A, dtype=np.float64)).copy()
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("attention matrix must be square")
@@ -269,7 +270,7 @@ class AttentionLayer:
         if not np.isfinite(eta):
             raise InvalidMeasureError("non-finite eta")
         if clamp:
-            eta = clamp_step(eta, sup, slack)
+            eta = clamp_step(eta, sup)
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "eta", eta)
@@ -357,10 +358,14 @@ def mlp_forward_batch(layer: MlpLayer, xs: np.ndarray) -> np.ndarray:
 # Attention evaluation
 # ---------------------------------------------------------------------------
 def _require_inside(layer: AttentionLayer, points, queries, stage=None) -> None:
-    """Fail closed unless the atoms and every query batch are in the domain."""
+    """Fail closed unless the atoms and every query batch are in the domain.
+
+    A batch that is ``points`` itself is checked once, as the atoms.
+    """
     layer.domain.require(points, "context atom", stage)
     for q in queries:
-        layer.domain.require(q, "query", stage)
+        if q is not points:
+            layer.domain.require(q, "query", stage)
 
 
 def _attend(layer: AttentionLayer, points, weights, queries, stage=None):
@@ -419,19 +424,13 @@ def attn_forward(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> 
     return attn_apply_batch(layer, mu, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def _softmax_mean(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray):
-    """A y over the canonical atoms, the softmax at ``x`` and their mean."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    pts, w, _ = mu.canonical()
-    ay, (p,) = _attend(layer, pts, w, [x[None, :]])
-    return ay, p[0], tree_sum(p[0][:, None] * ay)
-
-
 def attn_softmax_mean(
     layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
 ) -> np.ndarray:
     """m(x): the softmax-weighted mean of A y, i.e. the potential gradient."""
-    return _softmax_mean(layer, mu, x)[2]
+    pts, w, _ = mu.canonical()
+    ay, (p,) = _attend(layer, pts, w, [np.asarray(x, dtype=np.float64).reshape(1, -1)])
+    return tree_sum(p[0][:, None] * ay)
 
 
 def attn_potential(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> float:
@@ -454,9 +453,10 @@ def attn_covariance(
     A weighted sum of symmetric rank-one terms, so it is exactly
     symmetric and PSD up to rounding.
     """
-    ay, p, mean = _softmax_mean(layer, mu, x)
-    diffs = ay - mean
-    return tree_sum(p[:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
+    pts, w, _ = mu.canonical()
+    ay, (p,) = _attend(layer, pts, w, [np.asarray(x, dtype=np.float64).reshape(1, -1)])
+    diffs = ay - tree_sum(p[0][:, None] * ay)
+    return tree_sum(p[0][:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
 
 
 def attn_jacobian(

@@ -124,8 +124,8 @@ class EmpiricalMeasure:
             raise InvalidMeasureError("weights must not all be zero")
         w = w / total
         pts = pts.copy()
-        pts.flags.writeable = False
-        w.flags.writeable = False
+        for a in (pts, w, order):
+            a.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_canonical", order)
@@ -139,15 +139,13 @@ class EmpiricalMeasure:
         return self.points.shape[1]
 
     def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (points, weights, inverse permutation) in canonical order.
+        """Return (points, weights, order) in canonical order.
 
-        ``inverse`` scatters canonically-ordered per-atom results back to
-        storage order: ``out[storage] = computed[inverse]``.
+        ``order`` holds the storage index of each canonical row:
+        ``points[order]`` is the first result.
         """
         order = self._canonical
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        return self.points[order], self.weights[order], inv
+        return self.points[order], self.weights[order], order
 
     def __repr__(self) -> str:
         return f"EmpiricalMeasure(n={self.n_atoms}, d={self.dim})"
@@ -204,8 +202,8 @@ class DomainBall:
                 f"{what} of dim {pts.shape[1]} vs domain of dim {self.dim}"
             )
         dist = np.linalg.norm(pts - self.center, axis=1)
-        worst = int(np.argmax(dist))
-        if dist[worst] > self.limit:
+        worst = int(np.argmax(dist))  # a NaN distance is the first maximum
+        if not dist[worst] <= self.limit:
             raise DomainViolationError(
                 f"{what} at distance {dist[worst]:.6g} outside declared domain "
                 f"(radius {self.radius:.6g})"

@@ -171,15 +171,15 @@ def _forward(
         )
     dom.require(mu.points, "input atom")
     dom.require(queries, "input query")
-    pts, w, inv = mu.canonical()
-    order = np.argsort(inv)
+    pts, w, order = mu.canonical()
     pts = model.lifting.apply_batch(pts)
     qs = model.lifting.apply_batch(queries)
     for stage, (attn, mlp) in enumerate(model.blocks if blocks is None else blocks):
         if not attn.is_identity:
             perm = canonical_atom_order(pts, w)
             pts, w, order = pts[perm], w[perm], order[perm]
-        # Every atom and query attends over the same pre-update atoms.
+        # Every atom and query attends over the same pre-update atoms,
+        # which are checked against the domain once.
         pts, qs = attn_update(attn, pts, w, (pts, qs), stage)
         pts = mlp_forward_batch(mlp, pts)
         qs = mlp_forward_batch(mlp, qs)

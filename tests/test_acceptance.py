@@ -186,10 +186,11 @@ def test_criterion_06_kr_integration_layer():
         lift = Lifting(rng.normal(size=(width, 2)), rng.normal(size=width) * 0.2)
         stack = []
         if depth:
-            from lipctx.layers import MlpLayer
+            from lipctx.layers import MlpLayer, clamp_step, spectral_norm
 
-            stack.append(MlpLayer(rng.normal(size=(width, width)),
-                                  rng.normal(size=width) * 0.2, 0.5, slack=0.0))
+            w = rng.normal(size=(width, width))
+            stack.append(MlpLayer(w, rng.normal(size=width) * 0.2,
+                                  clamp_step(0.5, spectral_norm(w), 0.0), clamp=False))
         crit = project_params(Critic(lift, tuple(stack), rng.normal(size=width)))
         dom = DomainBall(np.zeros(2), float(rng.uniform(0.5, 1.5)))
         c_budget = float(rng.uniform(0.5, 3.0))

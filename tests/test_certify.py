@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lipctx import certify, layers
 from lipctx.certify import (
     certify_model,
     context_lipschitz_bound,
@@ -188,6 +189,32 @@ class TestFiniteDifferenceChecks:
         edge = np.array([1.0 - 1e-9, 0.0])
         with pytest.raises(BoundaryProximityError):
             jacobian_fd_check(layer, mu, edge)
+
+    def test_trial_forms_one_covariance_and_one_probe_batch(self, monkeypatch):
+        # The analytic Jacobian, the symmetry and the PSD stats share one
+        # covariance, and the 2d Jacobian probes run as one query batch.
+        model = random_clamped_model(3, 4, 1, seed=2)
+        assert model.blocks[0][0].eta > 0.0
+        covariances, batches = [], []
+        cov, apply = layers.attn_covariance, layers.attn_apply_batch
+
+        def counting_cov(*args):
+            covariances.append(1)
+            return cov(*args)
+
+        def counting_apply(layer, mu, queries, stage=None):
+            batches.append(np.shape(queries))
+            return apply(layer, mu, queries, stage)
+
+        for module in (layers, certify):
+            monkeypatch.setattr(module, "attn_covariance", counting_cov)
+            monkeypatch.setattr(module, "attn_apply_batch", counting_apply, raising=False)
+        certify_model(model, n_measures=1, n_pairs=2, context_anchors=1,
+                      context_pairs=1, fd_trials=1)
+        h = model.width
+        assert len(covariances) == 1
+        # The probe batch, then potential_grad_check's one update at x.
+        assert batches == [(2 * h, h), (1, h)]
 
 
 class TestCertifyModel:

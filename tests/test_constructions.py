@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from couplings import pair_coupling, pushforward
+from lipctx import constructions
 from lipctx.certify import random_clamped_model, sample_in_ball
 from lipctx.constructions import (
     identity_block,
@@ -28,7 +29,9 @@ from lipctx.layers import (
     MlpLayer,
     attn_forward,
     attn_step_bound,
+    clamp_step,
     mlp_forward,
+    spectral_norm,
 )
 from lipctx.measure import (
     DomainBall,
@@ -330,10 +333,12 @@ class TestKrIntegrator:
     def test_weighted_mean_oracle_and_query_independence(self):
         rng = RNG(18)
         for seed in range(5):
+            w = RNG(seed + 2).normal(size=(5, 5))
             crit = project_params(
                 Critic(
                     Lifting(RNG(seed).normal(size=(5, 2)), RNG(seed + 1).normal(size=5) * 0.2),
-                    (MlpLayer(RNG(seed + 2).normal(size=(5, 5)), np.zeros(5), 0.4, slack=0.0),),
+                    (MlpLayer(w, np.zeros(5), clamp_step(0.4, spectral_norm(w), 0.0),
+                              clamp=False),),
                     RNG(seed + 3).normal(size=5),
                 )
             )
@@ -361,10 +366,11 @@ class TestKrIntegrator:
         assert evaluate(model, nu, sample_in_ball(rng, dom, 1)[0]) == 0.0
 
     def test_clamp_stable_bitwise(self):
+        w = RNG(21).normal(size=(4, 4))
         crit = project_params(
             Critic(
                 Lifting(RNG(20).normal(size=(4, 2)), np.zeros(4)),
-                (MlpLayer(RNG(21).normal(size=(4, 4)), np.zeros(4), 0.6, slack=0.0),),
+                (MlpLayer(w, np.zeros(4), clamp_step(0.6, spectral_norm(w), 0.0), clamp=False),),
                 RNG(22).normal(size=4),
             )
         )
@@ -383,6 +389,24 @@ class TestSeparator:
         model = separator(mu, x, mu, xp, a_t, b_t, 1.0, eps=0.05)
         assert evaluate(model, mu, x) == pytest.approx(a_t, abs=1e-9)
         assert evaluate(model, mu, xp) == pytest.approx(b_t, abs=1e-9)
+
+    def test_builds_one_model(self, monkeypatch):
+        # The anchors are evaluated on the embedded model, whose readout is
+        # then rescaled in place of a second embedding.
+        embed = constructions._embed_model_with_query_branch
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "_embed_model_with_query_branch", counting)
+        mu = new_empirical([[0.1, 0.2], [-0.2, 0.0]])
+        x, xp = np.array([0.5, 0.0]), np.array([-0.5, 0.3])
+        model = separator(mu, x, mu, xp, 0.3, -0.2, 1.0, eps=0.05)
+        assert len(built) == 1
+        assert evaluate(model, mu, x) == pytest.approx(0.3, abs=1e-9)
+        assert evaluate(model, mu, xp) == pytest.approx(-0.2, abs=1e-9)
 
     def test_measure_only_separation(self):
         rng = RNG(24)

@@ -20,9 +20,14 @@ from lipctx.critic import (
     train_critic,
 )
 from lipctx.errors import InvalidMeasureError
-from lipctx.layers import MlpLayer, spectral_norm
+from lipctx.layers import MlpLayer, clamp_step, spectral_norm
 from lipctx.measure import new_empirical, w1_exact
 from lipctx.transformer import Lifting
+
+
+def strict_mlp(w, b, tau):
+    """An MLP layer with tau clamped at slack 0, as the critic projects it."""
+    return MlpLayer(w, b, clamp_step(tau, spectral_norm(w), 0.0), clamp=False)
 
 
 def reference_train(mu, nu, cfg, target=None):
@@ -37,7 +42,7 @@ def reference_train(mu, nu, cfg, target=None):
     for _ in range(cfg.depth):
         w = rng.uniform(-1.0, 1.0, (h, h)) * (1.5 / math.sqrt(h))
         b = rng.uniform(-0.3, 0.3, h)
-        stack.append(MlpLayer(w, b, 1.0, slack=0.0))
+        stack.append(strict_mlp(w, b, 1.0))
     v = rng.uniform(-1.0, 1.0, h) / math.sqrt(h)
     c = project_params(Critic(Lifting(a_q, np.zeros(h)), tuple(stack), v))
     trace = [kr_objective(c, mu, nu)]
@@ -48,7 +53,7 @@ def reference_train(mu, nu, cfg, target=None):
             break
         g = critic_grads(c, mu, nu)
         stack = tuple(
-            MlpLayer(l.W + step * gw, l.b + step * gb, l.tau + step * gt, slack=0.0)
+            strict_mlp(l.W + step * gw, l.b + step * gb, l.tau + step * gt)
             for l, (gw, gb, gt) in zip(c.stack, g.layers)
         )
         lifting = Lifting(c.lifting.A + step * g.a_q, c.lifting.b + step * g.b_q)
@@ -63,8 +68,7 @@ def random_critic(seed, d=2, width=6, depth=2, project=True):
     rng = np.random.default_rng(seed)
     lifting = Lifting(rng.normal(size=(width, d)), rng.normal(size=width) * 0.2)
     stack = tuple(
-        MlpLayer(rng.normal(size=(width, width)), rng.normal(size=width) * 0.3, 0.8,
-                 slack=0.0)
+        strict_mlp(rng.normal(size=(width, width)), rng.normal(size=width) * 0.3, 0.8)
         for _ in range(depth)
     )
     c = Critic(lifting, stack, rng.normal(size=width))

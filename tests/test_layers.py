@@ -259,6 +259,11 @@ class TestAttentionForward:
         with pytest.raises(DomainViolationError):
             attn_forward(layer, new_empirical([[0.0, 1.0 + 1e-7]]), np.zeros(2))
         attn_forward(layer, new_empirical([[0.0, 1.0 + 5e-10]]), np.array([1.0 + 5e-10, 0.0]))
+        # NaN is outside every ball, as a query and as a point of a batch.
+        with pytest.raises(DomainViolationError):
+            attn_forward(layer, inside, np.array([np.nan, 0.0]))
+        with pytest.raises(DomainViolationError):
+            layer.domain.require(np.array([[0.1, 0.2], [0.0, np.nan]]), "context atom")
 
     def test_query_one_lipschitz(self):
         rng = np.random.default_rng(7)

@@ -118,6 +118,38 @@ class TestForwardTokens:
             with pytest.raises(DomainViolationError) as err:
                 forward_tokens(model, new_empirical([[1.0 + 1e-7, 0.0]]), np.zeros(d))
             assert err.value.stage == 1
+        # NaN fails closed: a NaN query at the input, and a NaN atom (the
+        # lifting overflows to inf - inf) at the first stage that checks it.
+        with pytest.raises(DomainViolationError) as err:
+            evaluate_batch(identity_model(d), new_empirical([[0.0, 0.0]]), [[np.nan, 0.0]])
+        assert err.value.stage is None
+        overflow = ScalarModel(Lifting(np.full((d, d), 8e307), np.zeros(d)),
+                               ((tight, mlp),), np.zeros(d), DomainBall(np.zeros(d), 5.0), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainViolationError) as err:
+                evaluate_batch(overflow, new_empirical([[3.0, -3.0]]), np.zeros((1, d)))
+        assert err.value.stage == 0
+
+    def test_atoms_checked_once_per_layer(self, monkeypatch):
+        # The input atoms and queries are checked once each; every
+        # attention layer then checks its atoms once and its queries once,
+        # although the atoms also attend as a query batch.
+        model = random_clamped_model(3, 6, 3, seed=4)
+        assert not any(attn.is_identity for attn, _ in model.blocks)
+        rng = np.random.default_rng(10)
+        mu = new_empirical(sample_in_ball(rng, model.input_domain, 6))
+        xs = sample_in_ball(rng, model.input_domain, 4)
+        checks = []
+        original = DomainBall.require
+
+        def counting(self, points, what, stage=None):
+            checks.append(what)
+            original(self, points, what, stage)
+
+        monkeypatch.setattr(DomainBall, "require", counting)
+        evaluate_batch(model, mu, xs)
+        assert len(checks) == 2 + 2 * model.depth
+        assert checks.count("context atom") == model.depth
 
 
 class TestEvaluate:
