@@ -372,13 +372,32 @@ def separator(
     magnitude stays at most one whenever the trained critic actually
     achieves the eps margin.
     """
+    return _separator(
+        mu, x, mup, xp, a, b, c_budget, eps, domain, critic, train_cfg, w1_exact(mu, mup)
+    )
+
+
+def _separator(
+    mu: EmpiricalMeasure,
+    x: np.ndarray,
+    mup: EmpiricalMeasure,
+    xp: np.ndarray,
+    a: float,
+    b: float,
+    c_budget: float,
+    eps: float,
+    domain: DomainBall | None,
+    critic: Critic | None,
+    train_cfg: TrainConfig,
+    gap_w1: float,
+) -> ScalarModel:
+    """``separator`` given ``gap_w1`` = W1(mu, mup), which the margin check trusts."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     xp = np.asarray(xp, dtype=np.float64).reshape(-1)
     if mu.dim != mup.dim or mu.dim != x.shape[0] or x.shape[0] != xp.shape[0]:
         raise DimensionMismatchError("separator inputs of inconsistent dimension")
     if c_budget <= 0:
         raise SeparationError("context-Lipschitz budget must be positive")
-    gap_w1 = w1_exact(mu, mup)
     gap_x = float(np.linalg.norm(x - xp))
     if gap_x <= 0.0 and gap_w1 <= 1e-12:
         raise SeparationError("anchor points coincide")
@@ -459,9 +478,11 @@ def rsw_interpolate(
     Lipschitz property from its branches.
 
     One critic is trained per unordered measure pair and negated for the
-    swapped orientation. Cost is O(n^2) separators and lattice combines;
-    depth grows logarithmically via balanced folds. Capped at
-    ``RSW_MAX_SAMPLES`` samples: a desk-scale demonstrator, not a fitter.
+    swapped orientation; one W1 LP is solved per unordered pair, and its
+    value feeds both separators of the pair. Cost is O(n^2) separators
+    and lattice combines; depth grows logarithmically via balanced folds.
+    Capped at ``RSW_MAX_SAMPLES`` samples: a desk-scale demonstrator, not
+    a fitter.
     """
     if len(samples) < 1:
         raise IncompatibleTargetsError("need at least one sample")
@@ -540,7 +561,7 @@ def rsw_interpolate(
         crit = critics.get((i, j)) or (
             critics[(j, i)].negated() if (j, i) in critics else None
         )
-        return separator(
+        return _separator(
             kept[i][0],
             kept[i][1],
             kept[j][0],
@@ -548,10 +569,11 @@ def rsw_interpolate(
             float(targets[i]),
             float(targets[j]),
             c_budget,
-            eps=1e-6,
-            domain=domain,
-            critic=crit,
-            train_cfg=train_cfg,
+            1e-6,
+            domain,
+            crit,
+            train_cfg,
+            float(w1[min(i, j), max(i, j)]),
         )
 
     branches = [

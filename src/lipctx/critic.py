@@ -27,9 +27,17 @@ reverse-mode gradients (ReLU subgradient 0 at the kink) and best-iterate
 selection: ascent at a fixed step can oscillate, and duality makes every
 projected iterate a valid bound, so keeping the best seen is free. The
 iterate is kept as arrays ``(A_q, b_q, [(W, b, tau)], v)``; a step is one
-``_project`` and, per measure, one ``_side`` pass (forward, then reverse
-on the same activations). A ``Critic`` is built only for the returned
-iterate. Everything is seeded and bit-reproducible.
+``_project`` and one ``_objective``. The canonical atoms of both measures
+are stacked once per call, and ``_objective`` runs one forward and one
+reverse pass over them, writes each atom's weighted terms into one row,
+and reduces mu's rows and nu's rows with one tree sum each.
+``kr_objective`` takes the same forward route, so its value equals the
+training objective bit for bit. A stacked matrix product rounds each row
+as a product over one measure's rows does when that measure has at least
+two atoms; a one-atom measure's rows go through a matrix-matrix product
+instead of a matrix-vector one and may differ by rounding. A ``Critic``
+is built only for the returned iterate. Everything is seeded and
+bit-reproducible.
 """
 from __future__ import annotations
 
@@ -125,11 +133,14 @@ def _critic(params: tuple) -> Critic:
     return Critic(Lifting(a_q, b_q), stack, v)
 
 
-def _canonical_sides(mu: EmpiricalMeasure, nu: EmpiricalMeasure, in_dim: int) -> list:
-    """Canonical (points, weights) of both measures, dimensions checked."""
+def _stacked_atoms(
+    mu: EmpiricalMeasure, nu: EmpiricalMeasure, in_dim: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Canonical atoms of mu then of nu in one array, their weights, mu's count."""
     if mu.dim != nu.dim or mu.dim != in_dim:
         raise DimensionMismatchError("measure/critic dimension mismatch")
-    return [m.canonical()[:2] for m in (mu, nu)]
+    (pm, wm, _), (pn, wn, _) = mu.canonical(), nu.canonical()
+    return np.concatenate([pm, pn]), np.concatenate([wm, wn]), pm.shape[0]
 
 
 def _project(params: tuple) -> tuple:
@@ -161,14 +172,31 @@ def _forward(params: tuple, pts: np.ndarray) -> tuple[list, list]:
     return acts, pres
 
 
-def _side(params: tuple, pts: np.ndarray, w: np.ndarray) -> tuple[float, tuple]:
-    """sum_i w_i phi(x_i) over one measure, and its gradients shaped as ``params``."""
+def _weighted_values(last: np.ndarray, v: np.ndarray, atoms: tuple) -> np.ndarray:
+    """w_i phi(x_i) for every stacked atom, given the last activations.
+
+    The readout product runs on each measure's rows alone: the bits of a
+    matrix-vector product depend on its row count.
+    """
+    _, w, n_mu = atoms
+    return np.concatenate([w[:n_mu] * (last[:n_mu] @ v), w[n_mu:] * (last[n_mu:] @ v)])
+
+
+def _objective(params: tuple, atoms: tuple) -> tuple[float, tuple]:
+    """The objective and its gradients, shaped as ``params``: mu's side minus nu's.
+
+    One forward and one reverse pass run over both measures' atoms. Row i
+    of ``terms`` holds atom i's weighted terms: the value, the readout
+    gradient, then per layer the W, b and tau gradients, then the lifting
+    gradients. One tree sum over mu's rows and one over nu's reduce every
+    term column by column, as separate sums per term would.
+    """
     _, _, layers, v = params
+    pts, w, n_mu = atoms
+    (n, d), h = pts.shape, v.shape[0]
     acts, pres = _forward(params, pts)
-    value = float(tree_sum(w * (acts[-1] @ v)))
-    grad_v = tree_sum(w[:, None] * acts[-1])
-    gbar = np.tile(v, (pts.shape[0], 1))
-    layer_grads = [None] * len(layers)
+    layer_terms = [None] * len(layers)
+    gbar = np.tile(v, (n, 1))
     for k in range(len(layers) - 1, -1, -1):
         wk, _, tau = layers[k]
         pre = pres[k]
@@ -176,22 +204,33 @@ def _side(params: tuple, pts: np.ndarray, w: np.ndarray) -> tuple[float, tuple]:
         mask = (pre > 0.0).astype(np.float64)  # subgradient 0 at the kink
         wg = gbar @ wk.T
         mwg = mask * wg
-        g_tau = tree_sum(w * (-np.sum(wg * relu, axis=1)))
         outer = relu[:, :, None] * gbar[:, None, :]
         outer = outer + mwg[:, :, None] * acts[k][:, None, :]
-        g_w = tree_sum(w[:, None, None] * (-tau * outer))
-        layer_grads[k] = (g_w, tree_sum(w[:, None] * (-tau * mwg)), float(g_tau))
+        layer_terms[k] = (
+            (w[:, None, None] * (-tau * outer)).reshape(n, h * h),
+            w[:, None] * (-tau * mwg),
+            (w * (-np.sum(wg * relu, axis=1)))[:, None],
+        )
         gbar = gbar - tau * (mwg @ wk)
-    grad_aq = tree_sum(w[:, None, None] * (gbar[:, :, None] * pts[:, None, :]))
-    grad_bq = tree_sum(w[:, None] * gbar)
-    return value, (grad_aq, grad_bq, layer_grads, grad_v)
-
-
-def _objective(params: tuple, sides: list) -> tuple[float, tuple]:
-    """The objective and its gradients: mu's side minus nu's."""
-    (fm, gm), (fn, gn) = (_side(params, pts, w) for pts, w in sides)
-    layers = tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(gm[2], gn[2]))
-    return fm - fn, (gm[0] - gn[0], gm[1] - gn[1], layers, gm[3] - gn[3])
+    columns = (
+        [_weighted_values(acts[-1], v, atoms)[:, None], w[:, None] * acts[-1]]
+        + [t for lt in layer_terms for t in lt]
+        + [
+            (w[:, None, None] * (gbar[:, :, None] * pts[:, None, :])).reshape(n, h * d),
+            w[:, None] * gbar,
+        ]
+    )
+    terms = np.concatenate(columns, axis=1)
+    flat = tree_sum(terms[:n_mu]) - tree_sum(terms[n_mu:])
+    parts, at = [], 0
+    for col in columns:
+        parts.append(flat[at : at + col.shape[1]])
+        at += col.shape[1]
+    layer_grads = [
+        (g_w.reshape(h, h), g_b, float(g_tau[0]))
+        for g_w, g_b, g_tau in zip(parts[2:-2:3], parts[3:-2:3], parts[4:-2:3])
+    ]
+    return float(parts[0][0]), (parts[-2].reshape(h, d), parts[-1], layer_grads, parts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +252,19 @@ def critic_value_batch(c: Critic, zs: np.ndarray) -> np.ndarray:
 def kr_objective(c: Critic, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """integral of phi d(mu - nu), reduced in canonical atom order.
 
-    Computed as two separate weighted tree sums and subtracted, so
-    identical measures give exactly zero. The same reduction as
-    ``_side``'s value, without the reverse pass.
+    One forward pass over both measures' atoms, then one weighted tree sum
+    per measure, subtracted, so identical measures give exactly zero. The
+    same route as ``_objective``'s value, without the reverse pass.
     """
-    sides = _canonical_sides(mu, nu, c.in_dim)
-    fm, fn = (float(tree_sum(w * critic_value_batch(c, pts))) for pts, w in sides)
-    return fm - fn
+    atoms = _stacked_atoms(mu, nu, c.in_dim)
+    n_mu = atoms[2]
+    terms = _weighted_values(_forward(_params(c), atoms[0])[0][-1], c.readout, atoms)
+    return float(tree_sum(terms[:n_mu])) - float(tree_sum(terms[n_mu:]))
 
 
 def critic_grads(c: Critic, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> GradientSet:
     """Exact reverse-mode partials of ``kr_objective``."""
-    return GradientSet(*_objective(_params(c), _canonical_sides(mu, nu, c.in_dim))[1])
+    return GradientSet(*_objective(_params(c), _stacked_atoms(mu, nu, c.in_dim))[1])
 
 
 def project_params(c: Critic) -> Critic:
@@ -267,9 +307,9 @@ def train_critic(
         w = rng.uniform(-1.0, 1.0, (h, h)) * (1.5 / math.sqrt(h))
         layers.append((w, rng.uniform(-0.3, 0.3, h), 1.0))
     v = rng.uniform(-1.0, 1.0, h) / math.sqrt(h)
-    sides = _canonical_sides(mu, nu, d)
+    atoms = _stacked_atoms(mu, nu, d)
     best = params = _project((a_q, np.zeros(h), layers, v))
-    best_obj, grads = _objective(params, sides)
+    best_obj, grads = _objective(params, atoms)
     if on_iterate is not None:
         on_iterate(0, best_obj)
     step = cfg.step_size
@@ -282,7 +322,7 @@ def train_critic(
             for (w, b, tau), (gw, gb, gt) in zip(layers, g_layers)
         ]
         params = _project((a_q + step * g_a, b_q + step * g_b, layers, v + step * g_v))
-        obj, grads = _objective(params, sides)
+        obj, grads = _objective(params, atoms)
         if on_iterate is not None:
             on_iterate(t, obj)
         if obj > best_obj:

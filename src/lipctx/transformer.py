@@ -40,11 +40,12 @@ of the stored atoms bit for bit, and repeated runs are bit-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidMeasureError
 from .layers import (
     AttentionLayer,
     MlpLayer,
@@ -71,6 +72,8 @@ class Lifting:
             raise DimensionMismatchError(
                 f"lifting bias of size {bias.shape[0]} for {a.shape[0]} rows"
             )
+        if not np.all(np.isfinite(bias)):
+            raise InvalidMeasureError("non-finite lifting bias")
         a.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "A", a)
@@ -114,8 +117,12 @@ class ScalarModel:
             raise DimensionMismatchError(
                 f"readout of size {v.shape[0]} for width {h}"
             )
+        if not np.all(np.isfinite(v)):
+            raise InvalidMeasureError("non-finite readout")
         if not self.lipschitz_c > 0:
             raise DimensionMismatchError("lipschitz_c must be positive")
+        if not math.isfinite(self.lipschitz_c):
+            raise InvalidMeasureError("lipschitz_c must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "readout", v)

@@ -1,0 +1,44 @@
+"""The benchmark's ``rsw_fit`` ops keep the critic work they were chosen for.
+
+``bench/workloads.py`` keeps the corpus entries whose fits train 1600-1650
+critic steps in all, so that every op costs about the same. This pins
+that count: a faster ``rsw_fit`` run must come from cheaper steps, not
+from fewer of them.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from lipctx import critic
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def rsw_fit():
+    return load_workloads().RswFit(0)
+
+
+@pytest.mark.parametrize("op", [0, 1, 2])
+def test_rsw_fit_op_trains_1600_to_1650_steps(rsw_fit, op, monkeypatch):
+    # One step is one evaluation of the training objective, counting the
+    # initial iterate of each of the op's three critics.
+    steps = []
+    objective = critic._objective
+
+    def counted(*args):
+        steps.append(1)
+        return objective(*args)
+
+    monkeypatch.setattr(critic, "_objective", counted)
+    out = rsw_fit.op(op)
+    assert rsw_fit.check(op, out) == []
+    assert 1600 <= len(steps) <= 1650

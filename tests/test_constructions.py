@@ -523,6 +523,24 @@ class TestRswInterpolate:
             diff = abs(evaluate(model, m1, z1) - evaluate(model, m2, z2))
             assert diff <= allowed * (1 + 1e-6)
 
+    def test_one_lp_per_measure_pair(self, monkeypatch):
+        # Each separator reuses the pair's W1 from the distance matrix, so
+        # a 3-sample fit solves one transportation LP per unordered pair.
+        rng = RNG(30)
+        ball = DomainBall(np.zeros(2), 1.0)
+        pairs = [
+            (random_measure_in(rng, ball, 3), sample_in_ball(rng, ball, 1)[0])
+            for _ in range(3)
+        ]
+        samples = self._lip_targets(pairs, 1.0)
+        calls = []
+        counted = lambda mu, nu: calls.append(1) or w1_exact(mu, nu)  # noqa: E731
+        monkeypatch.setattr(constructions, "w1_exact", counted)
+        model = rsw_interpolate(samples, 1.0, train_cfg=FAST_TRAIN)
+        assert len(calls) == 3
+        for m, q, t in samples:
+            assert abs(evaluate(model, m, q) - t) <= 1e-6
+
     def test_incompatible_targets(self):
         mu = new_empirical([[0.0, 0.0]])
         nu = new_empirical([[0.1, 0.0]])

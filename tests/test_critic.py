@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critic_reference
 from lipctx import critic as critic_module
 from lipctx import layers, transformer
 from lipctx.critic import (
@@ -336,6 +337,110 @@ class TestTrainCritic:
             TrainConfig(iterations=0)
         with pytest.raises(InvalidMeasureError):
             TrainConfig(step_size=1.5)
+
+
+def two_measures(seed, d, n_mu, n_nu):
+    rng = np.random.default_rng(seed)
+    mu = new_empirical(rng.normal(size=(n_mu, d)), rng.uniform(0.1, 1.0, n_mu))
+    return mu, new_empirical(rng.normal(size=(n_nu, d)))
+
+
+class TestStackedPass:
+    def test_one_forward_and_two_reductions_per_step(self, monkeypatch):
+        # Both measures' atoms run through one forward and one reverse
+        # pass, and each measure's rows are reduced by one tree sum.
+        mu, nu = two_measures(15, 2, 4, 3)
+        counts = {}
+
+        def count_calls(name):
+            original = getattr(critic_module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(critic_module, name, counted)
+
+        count_calls("_forward")
+        count_calls("tree_sum")
+        per_call = {}
+        for iterations in (10, 20):
+            counts.update(_forward=0, tree_sum=0)
+            cfg = TrainConfig(iterations=iterations, step_size=0.25, seed=3,
+                              width=5, depth=1)
+            train_critic(mu, nu, cfg)
+            per_call[iterations] = dict(counts)
+        assert per_call[20]["_forward"] - per_call[10]["_forward"] == 10
+        assert per_call[20]["tree_sum"] - per_call[10]["tree_sum"] == 2 * 10
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 3),
+        width=st.integers(1, 8),
+        depth=st.integers(0, 2),
+        step=st.sampled_from([0.1, 0.25, 1.0]),
+        iterations=st.integers(1, 25),
+        target=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        n_mu=st.integers(2, 5),
+        n_nu=st.integers(2, 5),
+    )
+    def test_matches_per_measure_algorithm_bit_for_bit(
+        self, seed, d, width, depth, step, iterations, target, n_mu, n_nu
+    ):
+        # With at least two atoms per measure, every stacked matrix product
+        # row rounds as the per-measure product does.
+        mu, nu = two_measures(seed, d, n_mu, n_nu)
+        cfg = TrainConfig(iterations=iterations, step_size=step, seed=seed,
+                          width=width, depth=depth)
+        trace, want_trace = [], []
+        got, got_obj = train_critic(
+            mu, nu, cfg, on_iterate=lambda t, o: trace.append(o), target=target
+        )
+        (a_q, b_q, want_layers, v), want_obj = critic_reference.train(
+            mu, nu, cfg, on_iterate=lambda t, o: want_trace.append(o), target=target
+        )
+        assert trace == want_trace
+        assert got_obj == want_obj
+        np.testing.assert_array_equal(got.lifting.A, a_q)
+        np.testing.assert_array_equal(got.lifting.b, b_q)
+        np.testing.assert_array_equal(got.readout, v)
+        assert len(got.stack) == len(want_layers) == depth
+        for layer, (w, b, tau) in zip(got.stack, want_layers):
+            np.testing.assert_array_equal(layer.W, w)
+            np.testing.assert_array_equal(layer.b, b)
+            assert layer.tau == tau
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 3),
+        width=st.integers(1, 8),
+        depth=st.integers(0, 2),
+        step=st.sampled_from([0.1, 0.25, 1.0]),
+        iterations=st.integers(1, 25),
+        n_other=st.integers(1, 5),
+        mu_single=st.booleans(),
+    )
+    def test_one_atom_measure_within_rounding(
+        self, seed, d, width, depth, step, iterations, n_other, mu_single
+    ):
+        # A one-atom measure's products run as matrix-matrix products in
+        # the stacked pass and as matrix-vector ones per measure, so bits
+        # may move by rounding: checked relative to the larger of the value
+        # and W1, since a value near zero has no relative accuracy of its
+        # own. Every value stays a sound W1 bound.
+        mu, nu = two_measures(seed, d, *((1, n_other) if mu_single else (n_other, 1)))
+        cfg = TrainConfig(iterations=iterations, step_size=step, seed=seed,
+                          width=width, depth=depth)
+        trace, want_trace = [], []
+        train_critic(mu, nu, cfg, on_iterate=lambda t, o: trace.append(o))
+        critic_reference.train(mu, nu, cfg, on_iterate=lambda t, o: want_trace.append(o))
+        exact = w1_exact(mu, nu)
+        assert len(trace) == len(want_trace) == iterations + 1
+        for got, want in zip(trace, want_trace):
+            assert abs(got - want) <= 1e-12 * max(abs(want), exact)
+            assert got <= exact + 1e-9
 
 
 class TestKrGap:

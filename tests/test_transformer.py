@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from lipctx.certify import random_clamped_model, sample_in_ball
-from lipctx.errors import DimensionMismatchError, DomainViolationError
+from lipctx import serialize
+from lipctx.errors import DimensionMismatchError, DomainViolationError, InvalidMeasureError
 from lipctx.layers import AttentionLayer, MlpLayer, attn_step_bound
 from lipctx.measure import DomainBall, EmpiricalMeasure, new_empirical
 from lipctx.transformer import (
@@ -352,3 +353,35 @@ class TestValidation:
     def test_readout_size(self):
         with pytest.raises(DimensionMismatchError):
             identity_model(2, readout=[1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lifting_bias(self, bad):
+        # A depth-0 model runs no domain check after the lifting, so a
+        # non-finite bias must fail at construction.
+        with pytest.raises(InvalidMeasureError):
+            Lifting(np.eye(2), np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_readout(self, bad):
+        with pytest.raises(InvalidMeasureError):
+            identity_model(2, readout=[bad, 0.0])
+
+    def test_infinite_lipschitz_c(self):
+        model = identity_model(2)
+        with pytest.raises(InvalidMeasureError):
+            ScalarModel(model.lifting, (), model.readout, model.input_domain, np.inf)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda obj: obj["lifting"].update(b=[float("nan"), 0.0]),
+            lambda obj: obj.update(readout=[float("inf"), 0.0]),
+            lambda obj: obj.update(lipschitz_c=float("inf")),
+        ],
+        ids=["lifting_bias", "readout", "lipschitz_c"],
+    )
+    def test_non_finite_parameters_in_json(self, corrupt):
+        obj = serialize.model_to_json(identity_model(2, readout=[1.0, 0.0]))
+        corrupt(obj)
+        with pytest.raises(InvalidMeasureError):
+            serialize.model_from_json(obj)
