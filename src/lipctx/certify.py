@@ -218,7 +218,7 @@ def random_clamped_model(
         a = rng.normal(size=(width, width)) / math.sqrt(width)
         sup = ball_sup_ay(a, current)
         eta = float(rng.uniform(0.0, 1.0)) * (2.0 / (sup * sup)) if sup > 0 else 0.0
-        attn = AttentionLayer(a, eta, current, sup_ay=sup)
+        attn = AttentionLayer(a, eta, current)
         current = attn_image(current, attn)
         w = rng.normal(size=(width, width)) / math.sqrt(width)
         b = rng.normal(size=width) * 0.2

@@ -31,11 +31,13 @@ Everything the universality argument needs as an actual program:
     separators through every ordered sample pair.
 
 Product-space constructions (parallel attention, lattice, separator)
-declare enclosing *balls* around what is really a product of balls, and
-store the tighter block-structure step certificates; re-running
-``clamp_model`` on them would rebuild certificates from the enclosing
-balls and may soundly shrink step sizes, trading exactness for ball-only
-certification. They are therefore returned unclamped and exact.
+declare enclosing *balls* around what is really a product of balls.
+Their block layers keep each factor's exact step unclamped: it is
+feasible on the product set, while ``sup_ay`` is the ball bound over the
+enclosing ball, which can be larger. Re-running ``clamp_model`` may thus
+soundly shrink steps, trading exactness for ball-only certification, so
+the models are returned unclamped and exact. Certificates are functions
+of the wire fields, so save and load reproduce them.
 """
 from __future__ import annotations
 
@@ -135,6 +137,26 @@ def parallel_mlp(f: MlpLayer, fp: MlpLayer) -> MlpLayer:
     return MlpLayer(w, b, 1.0)
 
 
+def _block_attention(
+    layer: AttentionLayer, start: int, width: int, ball: DomainBall
+) -> AttentionLayer:
+    """``layer`` on coordinates [start, start + dim) of R^width, domain ``ball``.
+
+    The factor's exact step is kept, not clamped against the ball bound
+    over ``ball``: it is feasible on the product set inside the ball.
+    """
+    a = np.zeros((width, width))
+    a[start : start + layer.dim, start : start + layer.dim] = layer.A
+    return AttentionLayer(a, layer.eta, ball, clamp=False)
+
+
+def _block_mlp(layer: MlpLayer, start: int, width: int) -> MlpLayer:
+    """``layer`` reading coordinates [start, start + dim) of R^width."""
+    w = np.zeros((layer.W.shape[0], width))
+    w[:, start : start + layer.dim] = layer.W
+    return MlpLayer(w, layer.b, layer.tau)
+
+
 def _enclosing_ball(ball_a: DomainBall, ball_b: DomainBall) -> DomainBall:
     """Ball around a product of balls."""
     center = np.concatenate([ball_a.center, ball_b.center])
@@ -150,26 +172,14 @@ def parallel_attention(
     on the first component, so feeding it any coupling of (mu, mu')
     reproduces the softmax of Gamma against mu while the second
     component rides along untouched; the second layer mirrors this. The
-    declared domains are enclosing balls of the product sets; the stored
-    step certificates are the original per-factor bounds, which are the
-    exact suprema over the products.
+    declared domains are enclosing balls of the product sets. Each layer
+    keeps its factor's exact step, which is feasible on the product set;
+    its ``sup_ay`` is the ball bound over the enclosing ball.
     """
-    h, hp = g.dim, gp.dim
-    a1 = np.zeros((h + hp, h + hp))
-    a1[:h, :h] = g.A
-    layer1 = AttentionLayer(
-        a1, g.eta, _enclosing_ball(g.domain, gp.domain), sup_ay=g.sup_ay, clamp=False
-    )
-    a2 = np.zeros((h + hp, h + hp))
-    a2[h:, h:] = gp.A
-    layer2 = AttentionLayer(
-        a2,
-        gp.eta,
-        _enclosing_ball(attn_image(g.domain, g), gp.domain),
-        sup_ay=gp.sup_ay,
-        clamp=False,
-    )
-    return layer1, layer2
+    width = g.dim + gp.dim
+    layer1 = _block_attention(g, 0, width, _enclosing_ball(g.domain, gp.domain))
+    ball2 = _enclosing_ball(attn_image(g.domain, g), gp.domain)
+    return layer1, _block_attention(gp, g.dim, width, ball2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +277,9 @@ def kr_integrator(critic: Critic, c_budget: float, domain: DomainBall) -> Scalar
     # Structural guarantee behind the uniform-softmax argument: the
     # padded pipeline keeps the extra coordinate at exactly zero.
     assert not lifting.A[-1].any() and lifting.b[-1] == 0.0
-    blocks = []
-    for layer in critic.stack:
-        w_pad = np.hstack([layer.W, np.zeros((layer.W.shape[0], 1))])
-        assert not w_pad[:, -1].any()
-        id_attn, _ = identity_block(h + 1)
-        blocks.append((id_attn, MlpLayer(w_pad, layer.b, layer.tau)))
+    id_attn, id_mlp = identity_block(h + 1)
+    blocks = [(id_attn, _block_mlp(layer, 0, h + 1)) for layer in critic.stack]
+    assert not any(mlp.W[:, h].any() for _, mlp in blocks)
     prefix = clamp_model(
         ScalarModel(lifting, tuple(blocks), np.zeros(h + 1), domain, c_budget)
     )
@@ -287,8 +294,7 @@ def kr_integrator(critic: Critic, c_budget: float, domain: DomainBall) -> Scalar
             prefix.lifting, prefix.blocks, np.zeros(h + 1), domain, c_budget
         )
     eta = 2.0 / (sup * sup)
-    int_layer = AttentionLayer(a_int, eta, image_ball, sup_ay=sup)
-    _, id_mlp = identity_block(h + 1)
+    int_layer = AttentionLayer(a_int, eta, image_ball)
     readout = np.zeros(h + 1)
     readout[h] = -c_budget / int_layer.eta
     return ScalarModel(
@@ -329,18 +335,13 @@ def _embed_model_with_query_branch(
     blocks = []
     if kr_model is not None:
         for attn_k, mlp_k in kr_model.blocks:
-            a_emb = np.zeros((width, width))
-            a_emb[d : d + wk, d : d + wk] = attn_k.A
             ball = DomainBall(
                 np.concatenate([domain.center, attn_k.domain.center, [1.0]]),
                 math.hypot(domain.radius, attn_k.domain.radius),
             )
-            attn_emb = AttentionLayer(
-                a_emb, attn_k.eta, ball, sup_ay=attn_k.sup_ay, clamp=False
+            blocks.append(
+                (_block_attention(attn_k, d, width, ball), _block_mlp(mlp_k, d, width))
             )
-            w_emb = np.zeros((mlp_k.W.shape[0], width))
-            w_emb[:, d : d + wk] = mlp_k.W
-            blocks.append((attn_emb, MlpLayer(w_emb, mlp_k.b, mlp_k.tau)))
     readout = np.zeros(width)
     readout[:d] = v_query
     if kr_model is not None:

@@ -28,6 +28,10 @@ plus N u tr(G)/||G|| at most (u = 2^-53, Gram matrix G of side n, inner
 dimension N), under 1e-10 for matrices up to 400 x 400. The supremum of
 ||A y|| over a ball is bounded by ||A c|| + r ||A||_2, with the rounding
 of A c and of the norms added and the sum rounded up (``ball_sup_ay``).
+Both bounds are computed at construction from the layer's own fields
+(``cert_spec_norm`` of an MLP layer, ``sup_ay`` of an attention layer
+over its declared ball) and are never constructor arguments, so a saved
+and loaded layer carries the same certificate.
 Step clamps accept steps within a relative ``FEAS_SLACK`` (1e-9, over
 twice that inflation) above the certified bound before projecting;
 exact constructions (the min/max gate, parallel stacks) sit precisely
@@ -37,7 +41,10 @@ inside the slack may exceed its true bound 2 / s^2 by the same relative
 1e-9, so such a layer is (1 + 2e-9)-Lipschitz. A step the clamp moves
 lands on the certified bound, below the true one. Callers that need a
 strict clamp (the Wasserstein critic) call ``clamp_step`` with slack 0
-and build the layer with ``clamp=False``. Attention runs on one kernel,
+and build the layer with ``clamp=False``. So do the block layers of
+the constructions: their exact steps are feasible on the product of the
+factors' balls, where sup ||A y|| can be smaller than the ball bound
+over the enclosing ball they declare. Attention runs on one kernel,
 ``_attend``. The forward pass updates atoms and queries in one call,
 which checks the atoms against the domain once; an identity layer runs
 the checks alone.
@@ -240,17 +247,17 @@ class MlpLayer:
 class AttentionLayer:
     """Parameters (A, eta) of a gradient-descent attention layer.
 
-    ``domain`` is the declared input ball; ``sup_ay`` a certified upper
-    bound on sup ||A y|| over the actual input set. By default it is the
-    ball bound ||A c|| + r ||A||_2; parallel constructions override it
-    with the tighter block-structure bound (their declared ball encloses
-    a product set on which the supremum is smaller).
+    ``domain`` is the declared input ball; ``sup_ay`` is always the
+    certified ball bound ``ball_sup_ay(A, domain)`` on sup ||A y|| over
+    it, computed at construction. The constructor clamps eta against it
+    unless ``clamp=False`` (used by constructions whose exact steps are
+    proven feasible on a smaller set than the declared ball).
     """
 
     A: np.ndarray  # (d, d)
     eta: float
     domain: DomainBall
-    sup_ay: float = field(default=None)
+    sup_ay: float = field(init=False)
     clamp: InitVar[bool] = True
 
     def __post_init__(self, clamp: bool):
@@ -263,9 +270,7 @@ class AttentionLayer:
             )
         if not np.all(np.isfinite(a)):
             raise InvalidMeasureError("non-finite attention matrix")
-        sup = self.sup_ay
-        if sup is None:
-            sup = ball_sup_ay(a, self.domain)
+        sup = ball_sup_ay(a, self.domain)
         eta = float(self.eta)
         if not np.isfinite(eta):
             raise InvalidMeasureError("non-finite eta")
@@ -274,7 +279,7 @@ class AttentionLayer:
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "sup_ay", float(sup))
+        object.__setattr__(self, "sup_ay", sup)
 
     @property
     def dim(self) -> int:
@@ -404,10 +409,7 @@ def attn_update(
 
 
 def attn_apply_batch(
-    layer: AttentionLayer,
-    mu: EmpiricalMeasure,
-    queries: np.ndarray,
-    stage: int | None = None,
+    layer: AttentionLayer, mu: EmpiricalMeasure, queries: np.ndarray
 ) -> np.ndarray:
     """Attention update of a batch of queries against the measure ``mu``.
 
@@ -416,7 +418,7 @@ def attn_apply_batch(
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     pts, w, _ = mu.canonical()
-    return attn_update(layer, pts, w, [queries], stage)[0]
+    return attn_update(layer, pts, w, [queries])[0]
 
 
 def attn_forward(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:

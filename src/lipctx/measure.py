@@ -98,7 +98,7 @@ class EmpiricalMeasure:
 
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
-    _canonical: np.ndarray = field(repr=False, compare=False, default=None)
+    _canonical: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -293,12 +293,8 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         mu.points[:, None, :] - nu.points[None, :, :], axis=2
     )
     # Row-sum constraints for mu, column-sum constraints for nu (last dropped).
-    rows = np.zeros((n, n * m))
-    for i in range(n):
-        rows[i, i * m : (i + 1) * m] = 1.0
-    cols = np.zeros((m - 1, n * m)) if m > 1 else np.zeros((0, n * m))
-    for j in range(m - 1):
-        cols[j, j::m] = 1.0
+    rows = np.repeat(np.eye(n), m, axis=1)
+    cols = np.tile(np.eye(m), n)[: m - 1]
     a_eq = np.vstack([rows, cols])
     b_eq = np.concatenate([mu.weights, nu.weights[: m - 1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")

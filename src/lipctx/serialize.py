@@ -16,9 +16,10 @@ cert report  {"format": "lipctx-cert-v1", "model_hash": ...,
 
 Writers emit every float with 17 significant digits, which round-trips
 IEEE doubles losslessly; readers accept integer and float literals.
-Layers are reconstructed without re-clamping (certified norms are
-recomputed deterministically), so a save/load cycle reproduces
-bit-identical evaluations even for models that were built unclamped.
+Layers are reconstructed without re-clamping (certified norms and
+``sup_ay`` are recomputed from the stored fields), so a save/load cycle
+reproduces bit-identical evaluations and certificates even for models
+that were built unclamped.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """JSON text with floats at 17 significant digits (lossless doubles)."""
     if obj is None:
         return "null"

@@ -119,10 +119,8 @@ class ScalarModel:
             )
         if not np.all(np.isfinite(v)):
             raise InvalidMeasureError("non-finite readout")
-        if not self.lipschitz_c > 0:
-            raise DimensionMismatchError("lipschitz_c must be positive")
-        if not math.isfinite(self.lipschitz_c):
-            raise InvalidMeasureError("lipschitz_c must be finite")
+        if not 0 < self.lipschitz_c < math.inf:
+            raise InvalidMeasureError("lipschitz_c must be positive and finite")
         v.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "readout", v)
@@ -288,8 +286,8 @@ def models_equal(a: ScalarModel, b: ScalarModel) -> bool:
     """Whether the two models serialize identically.
 
     The wire format holds every parameter, step size and domain, and
-    certified norms are functions of those. A ``sup_ay`` passed to an
-    attention layer at construction is not serialized and not compared.
+    every certified quantity (``cert_spec_norm``, ``sup_ay``) is a
+    function of those, so equal models carry equal certificates.
     """
     from .serialize import model_to_json
 

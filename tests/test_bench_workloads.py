@@ -4,6 +4,10 @@
 critic steps in all, so that every op costs about the same. This pins
 that count: a faster ``rsw_fit`` run must come from cheaper steps, not
 from fewer of them.
+
+It also pins, as a strict expected failure, the premise of the repeat
+check in ``bench/run.py`` that ``certify_sweep`` does not meet yet; the
+change to the benchmark that meets it removes the marker.
 """
 import importlib.util
 from pathlib import Path
@@ -42,3 +46,15 @@ def test_rsw_fit_op_trains_1600_to_1650_steps(rsw_fit, op, monkeypatch):
     out = rsw_fit.op(op)
     assert rsw_fit.check(op, out) == []
     assert 1600 <= len(steps) <= 1650
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="certify_sweep keys repeated inputs by i % POOL, but op i runs shape i % 5",
+)
+def test_certify_sweep_pool_is_a_multiple_of_the_shapes():
+    # ``Tally.record`` compares each op with the earlier op of the same
+    # index modulo POOL; that op runs the same model only if POOL is a
+    # multiple of the number of shapes.
+    sweep = load_workloads().CertifySweep
+    assert sweep.POOL % len(sweep.SHAPES) == 0

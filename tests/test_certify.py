@@ -202,9 +202,9 @@ class TestFiniteDifferenceChecks:
             covariances.append(1)
             return cov(*args)
 
-        def counting_apply(layer, mu, queries, stage=None):
+        def counting_apply(layer, mu, queries):
             batches.append(np.shape(queries))
-            return apply(layer, mu, queries, stage)
+            return apply(layer, mu, queries)
 
         for module in (layers, certify):
             monkeypatch.setattr(module, "attn_covariance", counting_cov)

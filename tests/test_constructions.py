@@ -29,6 +29,7 @@ from lipctx.layers import (
     MlpLayer,
     attn_forward,
     attn_step_bound,
+    ball_sup_ay,
     clamp_step,
     mlp_forward,
     spectral_norm,
@@ -45,7 +46,9 @@ from lipctx.transformer import (
     evaluate,
     forward_tokens,
     models_equal,
+    propagate_domains,
 )
+from lipctx.serialize import model_from_json, model_to_json
 
 RNG = np.random.default_rng  # shorthand
 
@@ -579,3 +582,58 @@ class TestRswInterpolate:
         samples = [(mu, np.array([float(i), 0.0]), 0.0) for i in range(17)]
         with pytest.raises(CapExceededError):
             rsw_interpolate(samples, 1.0)
+
+
+def _lattice_model():
+    a, b = random_scalar_model(1), random_scalar_model(2, h=5, n_blocks=1)
+    return lattice_combine(a, b, "max")
+
+
+def _separator_model():
+    rng = RNG(40)
+    mu = random_measure_in(rng, DomainBall(np.array([0.6, 0.0]), 0.3), 3)
+    nu = random_measure_in(rng, DomainBall(np.array([-0.6, 0.0]), 0.3), 4)
+    x, xp = np.array([0.2, 0.1]), np.array([-0.1, 0.3])
+    return separator(mu, x, nu, xp, 0.3, -0.2, 1.0, eps=0.05, train_cfg=FAST_TRAIN)
+
+
+def _kr_model():
+    lifting = Lifting(RNG(41).normal(size=(4, 2)), np.zeros(4))
+    crit = project_params(Critic(lifting, (), RNG(42).normal(size=4)))
+    return kr_integrator(crit, 2.0, DomainBall(np.zeros(2), 1.2))
+
+
+def _rsw_model():
+    rng = RNG(43)
+    ball = DomainBall(np.zeros(2), 1.0)
+    pairs = [
+        (random_measure_in(rng, ball, 3), sample_in_ball(rng, ball, 1)[0])
+        for _ in range(3)
+    ]
+    samples = TestRswInterpolate()._lip_targets(pairs, 1.0)
+    return rsw_interpolate(samples, 1.0, train_cfg=FAST_TRAIN)
+
+
+def _certificates(model):
+    """Per-layer ``sup_ay`` and the propagated domain chain, as exact bits."""
+    chain = propagate_domains(model)
+    return (
+        [attn.sup_ay.hex() for attn, _ in model.blocks],
+        [(ball.center.tobytes(), ball.radius.hex()) for ball in chain.domains],
+        chain.valid,
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_lattice_model, _separator_model, _kr_model, _rsw_model],
+    ids=["lattice", "separator", "kr_integrator", "rsw"],
+)
+def test_constructions_round_trip_certificates(build):
+    model = build()
+    assert any(not attn.is_identity for attn, _ in model.blocks)
+    for attn, _ in model.blocks:
+        assert attn.sup_ay == ball_sup_ay(attn.A, attn.domain)
+    loaded = model_from_json(model_to_json(model))
+    assert models_equal(loaded, model)
+    assert _certificates(loaded) == _certificates(model)

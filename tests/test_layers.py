@@ -385,6 +385,11 @@ class TestStepBound:
         layer = AttentionLayer(a, 0.0, dom)
         assert layer.sup_ay == ball_sup_ay(a, dom)
 
+    def test_sup_ay_is_not_an_argument(self):
+        # A caller-supplied sup could leave an infeasible step unclamped.
+        with pytest.raises(TypeError):
+            AttentionLayer(np.eye(2), 50.0, DomainBall(np.zeros(2), 1.0), sup_ay=0.1)
+
     def test_center_term_never_below_exact(self):
         # At radius 0 the sup is ||A c|| alone; compared in exact rational
         # arithmetic, a value rounded to nearest falls below it about half

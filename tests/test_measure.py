@@ -22,6 +22,7 @@ from lipctx.errors import (
 )
 from lipctx.measure import (
     DomainBall,
+    EmpiricalMeasure,
     bounding_ball,
     canonical_atom_order,
     new_empirical,
@@ -289,6 +290,10 @@ class TestDeterministicReduction:
         assert float(tree_sum(wa[:, None] * pa)[0]) == float(
             tree_sum(wb[:, None] * pb)[0]
         )
+
+    def test_canonical_order_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            EmpiricalMeasure(np.zeros((2, 1)), np.ones(2), np.array([1, 0]))
 
     def test_canonical_order_shape(self):
         pts = np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 2.0]])

@@ -366,10 +366,17 @@ class TestValidation:
         with pytest.raises(InvalidMeasureError):
             identity_model(2, readout=[bad, 0.0])
 
-    def test_infinite_lipschitz_c(self):
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_invalid_lipschitz_c(self, bad):
         model = identity_model(2)
         with pytest.raises(InvalidMeasureError):
-            ScalarModel(model.lifting, (), model.readout, model.input_domain, np.inf)
+            ScalarModel(model.lifting, (), model.readout, model.input_domain, bad)
+        obj = serialize.model_to_json(model)
+        obj["lipschitz_c"] = bad
+        with pytest.raises(InvalidMeasureError):
+            serialize.model_from_json(obj)
 
     @pytest.mark.parametrize(
         "corrupt",
