@@ -30,6 +30,8 @@ Everything the universality argument needs as an actual program:
   * finite-sample lattice interpolation: max_i min_j of two-point
     separators through every ordered sample pair.
 
+Every attention layer, identity blocks included, declares a finite ball
+around its inputs, and the forward pass holds every atom and query to it.
 Product-space constructions (parallel attention, lattice, separator)
 declare enclosing *balls* around what is really a product of balls.
 Their block layers keep each factor's exact step unclamped: it is
@@ -59,13 +61,11 @@ from .transformer import (
     Lifting,
     ScalarModel,
     attn_image,
-    clamp_model,
     evaluate,
+    lifted_ball,
+    mlp_image,
     propagate_domains,
 )
-
-#: Declared radius of identity-attention domains (accepts any input).
-IDENTITY_RADIUS = 1e30
 
 #: Largest sample count ``rsw_interpolate`` accepts.
 RSW_MAX_SAMPLES = 16
@@ -77,11 +77,12 @@ SEPARATOR_TRAIN = TrainConfig(iterations=1500, step_size=0.25, seed=0, width=8, 
 # ---------------------------------------------------------------------------
 # Identity and gate primitives
 # ---------------------------------------------------------------------------
-def identity_block(h: int) -> tuple[AttentionLayer, MlpLayer]:
-    """A block that is exactly the identity on queries and measures."""
+def identity_block(ball: DomainBall) -> tuple[AttentionLayer, MlpLayer]:
+    """The identity on queries and measures in ``ball``, of width ``ball.dim``."""
+    h = ball.dim
     if h < 1:
         raise DimensionMismatchError("width must be >= 1")
-    attn = AttentionLayer(np.zeros((h, h)), 0.0, DomainBall(np.zeros(h), IDENTITY_RADIUS))
+    attn = AttentionLayer(np.zeros((h, h)), 0.0, ball)
     mlp = MlpLayer(np.zeros((1, h)), np.zeros(1), 0.0)
     return attn, mlp
 
@@ -157,10 +158,10 @@ def _block_mlp(layer: MlpLayer, start: int, width: int) -> MlpLayer:
     return MlpLayer(w, layer.b, layer.tau)
 
 
-def _enclosing_ball(ball_a: DomainBall, ball_b: DomainBall) -> DomainBall:
+def _enclosing_ball(*balls: DomainBall) -> DomainBall:
     """Ball around a product of balls."""
-    center = np.concatenate([ball_a.center, ball_b.center])
-    return DomainBall(center, math.hypot(ball_a.radius, ball_b.radius))
+    center = np.concatenate([ball.center for ball in balls])
+    return DomainBall(center, math.hypot(*(ball.radius for ball in balls)))
 
 
 def parallel_attention(
@@ -188,7 +189,8 @@ def parallel_attention(
 def _pad_front(model: ScalarModel, extra: int) -> ScalarModel:
     if extra <= 0:
         return model
-    blocks = tuple(identity_block(model.width) for _ in range(extra)) + model.blocks
+    pad = identity_block(lifted_ball(model.lifting, model.input_domain))
+    blocks = (pad,) * extra + model.blocks
     return ScalarModel(
         model.lifting, blocks, model.readout, model.input_domain, model.lipschitz_c
     )
@@ -202,6 +204,9 @@ def lattice_combine(a: ScalarModel, b: ScalarModel, kind: str) -> ScalarModel:
     stacked in parallel (the stacked lifting feeds the same (mu, x)
     into both halves, realizing the diagonal coupling), readouts are
     normalized by the larger norm, and a single gate layer finishes.
+    Identity blocks declare the ball their inputs lie in: a padding block
+    its side's lifted ball, a slot where neither side attends and the gate
+    block the enclosing ball of both sides' declared or output balls.
     """
     if kind not in ("min", "max"):
         raise SeparationError(f"gate kind must be 'min' or 'max', got {kind!r}")
@@ -222,13 +227,14 @@ def lattice_combine(a: ScalarModel, b: ScalarModel, kind: str) -> ScalarModel:
         np.vstack([a.lifting.A, b.lifting.A]),
         np.concatenate([a.lifting.b, b.lifting.b]),
     )
-    id_attn, id_mlp = identity_block(width)
+    ends = (propagate_domains(m).domains[-1] for m in (a, b))
+    gate_attn, id_mlp = identity_block(_enclosing_ball(*ends))
     blocks = []
     for (attn_a, mlp_a), (attn_b, mlp_b) in zip(a.blocks, b.blocks):
         # A block layer is only needed for a side that attends; an identity
         # side rides along inside the other side's block layer.
         attns = [g for g in parallel_attention(attn_a, attn_b) if not g.is_identity]
-        attns = attns or [id_attn]
+        attns = attns or [identity_block(_enclosing_ball(attn_a.domain, attn_b.domain))[0]]
         mlps = [id_mlp] * (len(attns) - 1) + [parallel_mlp(mlp_a, mlp_b)]
         blocks.extend(zip(attns, mlps))
 
@@ -246,7 +252,7 @@ def lattice_combine(a: ScalarModel, b: ScalarModel, kind: str) -> ScalarModel:
         gate, readout = _gate_mlp(va, vb, 0, ha, width, kind)
     else:
         gate, readout = _gate_mlp(vb, va, ha, 0, width, kind)
-    blocks.append((id_attn, gate))
+    blocks.append((gate_attn, gate))
     return ScalarModel(
         lifting, tuple(blocks), scale * readout, a.input_domain, c_out
     )
@@ -277,33 +283,27 @@ def kr_integrator(critic: Critic, c_budget: float, domain: DomainBall) -> Scalar
     # Structural guarantee behind the uniform-softmax argument: the
     # padded pipeline keeps the extra coordinate at exactly zero.
     assert not lifting.A[-1].any() and lifting.b[-1] == 0.0
-    id_attn, id_mlp = identity_block(h + 1)
-    blocks = [(id_attn, _block_mlp(layer, 0, h + 1)) for layer in critic.stack]
+    # Each identity attention layer declares the ball it passes through.
+    image_ball = lifted_ball(lifting, domain)
+    blocks = []
+    for layer in critic.stack:
+        mlp = _block_mlp(layer, 0, h + 1)
+        blocks.append((identity_block(image_ball)[0], mlp))
+        image_ball = mlp_image(image_ball, mlp)
     assert not any(mlp.W[:, h].any() for _, mlp in blocks)
-    prefix = clamp_model(
-        ScalarModel(lifting, tuple(blocks), np.zeros(h + 1), domain, c_budget)
-    )
-    image_ball = propagate_domains(prefix).domains[-1]
 
     a_int = np.zeros((h + 1, h + 1))
     a_int[h, :h] = critic.readout
     sup = ball_sup_ay(a_int, image_ball)
     if sup == 0.0:
         # Critic vanishes identically on the image ball: the constant-zero model.
-        return ScalarModel(
-            prefix.lifting, prefix.blocks, np.zeros(h + 1), domain, c_budget
-        )
+        return ScalarModel(lifting, tuple(blocks), np.zeros(h + 1), domain, c_budget)
     eta = 2.0 / (sup * sup)
     int_layer = AttentionLayer(a_int, eta, image_ball)
     readout = np.zeros(h + 1)
     readout[h] = -c_budget / int_layer.eta
-    return ScalarModel(
-        prefix.lifting,
-        prefix.blocks + ((int_layer, id_mlp),),
-        readout,
-        domain,
-        c_budget,
-    )
+    blocks.append((int_layer, identity_block(image_ball)[1]))
+    return ScalarModel(lifting, tuple(blocks), readout, domain, c_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +335,7 @@ def _embed_model_with_query_branch(
     blocks = []
     if kr_model is not None:
         for attn_k, mlp_k in kr_model.blocks:
-            ball = DomainBall(
-                np.concatenate([domain.center, attn_k.domain.center, [1.0]]),
-                math.hypot(domain.radius, attn_k.domain.radius),
-            )
+            ball = _enclosing_ball(domain, attn_k.domain, DomainBall([1.0], 0.0))
             blocks.append(
                 (_block_attention(attn_k, d, width, ball), _block_mlp(mlp_k, d, width))
             )

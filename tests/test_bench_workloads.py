@@ -3,7 +3,8 @@
 ``bench/workloads.py`` keeps the corpus entries whose fits train 1600-1650
 critic steps in all, so that every op costs about the same. This pins
 that count: a faster ``rsw_fit`` run must come from cheaper steps, not
-from fewer of them.
+from fewer of them. It also pins the fitted models' declared domains:
+every attention layer's radius is at most 100.
 
 It also pins, as a strict expected failure, the premise of the repeat
 check in ``bench/run.py`` that ``certify_sweep`` does not meet yet; the
@@ -46,6 +47,7 @@ def test_rsw_fit_op_trains_1600_to_1650_steps(rsw_fit, op, monkeypatch):
     out = rsw_fit.op(op)
     assert rsw_fit.check(op, out) == []
     assert 1600 <= len(steps) <= 1650
+    assert all(attn.domain.radius <= 100 for attn, _ in out[0].blocks)
 
 
 @pytest.mark.xfail(

@@ -21,6 +21,7 @@ from lipctx.critic import Critic, TrainConfig, critic_value, project_params
 from lipctx.errors import (
     CapExceededError,
     DimensionMismatchError,
+    DomainViolationError,
     IncompatibleTargetsError,
     SeparationError,
 )
@@ -45,6 +46,7 @@ from lipctx.transformer import (
     clamp_model,
     evaluate,
     forward_tokens,
+    lifted_ball,
     models_equal,
     propagate_domains,
 )
@@ -62,7 +64,7 @@ def random_measure_in(rng, ball, n):
 class TestIdentityBlock:
     def test_exact_identity(self):
         rng = RNG(0)
-        attn, mlp = identity_block(3)
+        attn, mlp = identity_block(DomainBall(np.zeros(3), 1.0))
         model = ScalarModel(
             Lifting(np.eye(3), np.zeros(3)), ((attn, mlp),) * 4, np.zeros(3),
             DomainBall(np.zeros(3), 1.0), 1.0,
@@ -74,7 +76,7 @@ class TestIdentityBlock:
         np.testing.assert_array_equal(nu.points, mu.points)
 
     def test_clamp_keeps_parameters(self):
-        attn, mlp = identity_block(2)
+        attn, mlp = identity_block(DomainBall(np.zeros(2), 1.0))
         model = ScalarModel(
             Lifting(np.eye(2), np.zeros(2)), ((attn, mlp),), np.zeros(2),
             DomainBall(np.zeros(2), 1.0), 1.0,
@@ -84,6 +86,10 @@ class TestIdentityBlock:
         assert new_attn.eta == 0.0 and new_mlp.tau == 0.0
         np.testing.assert_array_equal(new_attn.A, attn.A)
         np.testing.assert_array_equal(new_mlp.W, mlp.W)
+
+    def test_width_zero_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            identity_block(DomainBall(np.zeros(0), 1.0))
 
 
 class TestMinmaxGate:
@@ -303,6 +309,21 @@ class TestLatticeCombine:
             assert mlp1.tau <= mlp0.tau
             np.testing.assert_array_equal(attn1.A, attn0.A)
             np.testing.assert_array_equal(mlp1.W, mlp0.W)
+
+    def test_padded_block_layer_fails_closed(self):
+        # The shallow side is padded with identity blocks on its lifted
+        # ball, so the deep side's first block layer declares the finite
+        # enclosing ball and rejects a query far outside it.
+        a = random_clamped_model(2, 4, 3, seed=1)
+        b = random_clamped_model(2, 3, 1, seed=2)
+        attn = lattice_combine(a, b, "min").blocks[0][0]
+        assert not attn.is_identity
+        shallow = lifted_ball(b.lifting, b.input_domain)
+        assert attn.domain.radius == math.hypot(a.blocks[0][0].domain.radius, shallow.radius)
+        mu = new_empirical(attn.domain.center[None, :])
+        far = attn.domain.center + 1e6 * np.eye(attn.dim)[0]
+        with pytest.raises(DomainViolationError):
+            attn_forward(attn, mu, far)
 
 
 class TestKrIntegrator:
@@ -634,6 +655,8 @@ def test_constructions_round_trip_certificates(build):
     assert any(not attn.is_identity for attn, _ in model.blocks)
     for attn, _ in model.blocks:
         assert attn.sup_ay == ball_sup_ay(attn.A, attn.domain)
+    declared = [attn.domain for attn, _ in model.blocks]
+    assert all(b.radius < 1e3 for b in declared + list(propagate_domains(model).domains))
     loaded = model_from_json(model_to_json(model))
     assert models_equal(loaded, model)
     assert _certificates(loaded) == _certificates(model)
