@@ -49,6 +49,16 @@ over the enclosing ball they declare. Attention runs on one kernel,
 which checks the atoms against the domain once; an identity layer runs
 the checks alone.
 
+Attention memory is O(m n) for the (m, n) score and softmax matrices of
+a batch of m queries against n atoms, plus O(``_BUDGET``) for the
+softmax-weighted mean: ``_softmax_mean`` forms the (n, rows, h) product
+of its tree sum for at most ``_BUDGET // (n h)`` queries at a time
+(one at least). The tree sum adds elementwise along the atom axis, so
+every output element takes the same IEEE operations in any query
+block, and the bits do not depend on the block size. The score product
+``q @ ay.T`` stays whole: BLAS rounds a row of a matrix product
+differently depending on how many rows the product has.
+
 Domain membership is enforced fail-closed by ``DomainBall.require``: a
 point is inside the declared ball (c, r) when ||x - c|| <= r + 1e-9, an
 absolute slack. Every Lipschitz certificate is conditional on the inputs
@@ -77,6 +87,10 @@ _U = 2.0**-53
 
 #: Smallest || |A| |c| || that ``ball_sup_ay`` bounds through rounding terms.
 _TINY = 2.0**-400
+
+#: Elements of the (n, rows, h) product that one query block of
+#: ``_softmax_mean`` forms (256 KiB of float64).
+_BUDGET = 2**15
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -385,6 +399,23 @@ def _attend(layer: AttentionLayer, points, weights, queries, stage=None):
     return ay, [_softmax_batch(q @ ay.T, weights) for q in queries]
 
 
+def _softmax_mean(probs: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Rows sum_i probs[j, i] ay[i] of the (m, h) softmax-weighted mean.
+
+    The tree sum over atoms runs on blocks of at most ``_BUDGET // (n h)``
+    queries (one at least), so it never holds more than ``_BUDGET``
+    products plus its levels. Each output element gets the same products
+    and the same pairwise additions as in one (n, m, h) tree sum.
+    """
+    (m, n), h = probs.shape, ay.shape[1]
+    rows = max(1, _BUDGET // (n * h))
+    out = np.empty((m, h))
+    for start in range(0, m, rows):
+        block = probs[start : start + rows]
+        out[start : start + rows] = tree_sum(block.T[:, :, None] * ay[:, None, :])
+    return out
+
+
 def attn_update(
     layer: AttentionLayer,
     points: np.ndarray,
@@ -397,15 +428,18 @@ def attn_update(
     Every batch attends over the same atoms, so passing the atoms as a
     batch gives the synchronous update of the measure. An identity
     layer returns the batches once they pass the domain checks.
+
+    Memory for a batch of m queries against n atoms of width h is
+    O(m n) for its scores and softmax weights plus O(``_BUDGET``) for
+    the weighted mean, which ``_softmax_mean`` reduces in query blocks
+    with the same bits as one reduction. The scores stay one matrix
+    product, as BLAS rounds a row differently with the product's size.
     """
     if layer.is_identity:
         _require_inside(layer, points, queries, stage)
         return list(queries)
     ay, probs = _attend(layer, points, weights, queries, stage)
-    return [
-        q - layer.eta * tree_sum(p.T[:, :, None] * ay[:, None, :])
-        for q, p in zip(queries, probs)
-    ]
+    return [q - layer.eta * _softmax_mean(p, ay) for q, p in zip(queries, probs)]
 
 
 def attn_apply_batch(
@@ -432,7 +466,7 @@ def attn_softmax_mean(
     """m(x): the softmax-weighted mean of A y, i.e. the potential gradient."""
     pts, w, _ = mu.canonical()
     ay, (p,) = _attend(layer, pts, w, [np.asarray(x, dtype=np.float64).reshape(1, -1)])
-    return tree_sum(p[0][:, None] * ay)
+    return _softmax_mean(p, ay)[0]
 
 
 def attn_potential(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray) -> float:
@@ -457,7 +491,7 @@ def attn_covariance(
     """
     pts, w, _ = mu.canonical()
     ay, (p,) = _attend(layer, pts, w, [np.asarray(x, dtype=np.float64).reshape(1, -1)])
-    diffs = ay - tree_sum(p[0][:, None] * ay)
+    diffs = ay - _softmax_mean(p, ay)
     return tree_sum(p[0][:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
 
 

@@ -79,7 +79,16 @@ def tree_sum(values: np.ndarray) -> np.ndarray:
 
 
 def canonical_atom_order(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Permutation sorting atoms lexicographically by coordinates, then weight."""
+    """Permutation sorting atoms lexicographically by coordinates, then weight.
+
+    When the first coordinates sort strictly increasing they alone fix
+    the order; ties, signed zeros and NaN take the full lexsort.
+    """
+    col = points[:, 0]
+    first = col.argsort(kind="stable")
+    col = col[first]
+    if (col[1:] > col[:-1]).all():
+        return first
     keys = tuple(points[:, c] for c in range(points.shape[1] - 1, -1, -1))
     return np.lexsort((weights,) + keys)
 
@@ -201,6 +210,8 @@ class DomainBall:
             raise DimensionMismatchError(
                 f"{what} of dim {pts.shape[1]} vs domain of dim {self.dim}"
             )
+        if pts.shape[0] == 0:  # an empty set lies inside any ball
+            return
         dist = np.linalg.norm(pts - self.center, axis=1)
         worst = int(np.argmax(dist))  # a NaN distance is the first maximum
         if not dist[worst] <= self.limit:

@@ -4,13 +4,16 @@
 critic steps in all, so that every op costs about the same. This pins
 that count: a faster ``rsw_fit`` run must come from cheaper steps, not
 from fewer of them. It also pins the fitted models' declared domains:
-every attention layer's radius is at most 100.
+every attention layer's radius is at most 100. And it pins the memory of
+``certify_sweep``'s largest op, the one whose peak the benchmark gates:
+under 2 MB under ``tracemalloc``.
 
 It also pins, as a strict expected failure, the premise of the repeat
 check in ``bench/run.py`` that ``certify_sweep`` does not meet yet; the
 change to the benchmark that meets it removes the marker.
 """
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,18 @@ def test_rsw_fit_op_trains_1600_to_1650_steps(rsw_fit, op, monkeypatch):
     assert rsw_fit.check(op, out) == []
     assert 1600 <= len(steps) <= 1650
     assert all(attn.domain.radius <= 100 for attn, _ in out[0].blocks)
+
+
+def test_certify_sweep_largest_op_peaks_under_2_mb():
+    sweep = load_workloads().CertifySweep(0)
+    tracemalloc.start()
+    try:
+        report = sweep.op(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.check(0, report) == []
+    assert peak < 2e6
 
 
 @pytest.mark.xfail(

@@ -1,26 +1,35 @@
 """Layer primitives: spectral certification, forwards, potentials, Jacobians."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lipctx.certify import random_clamped_model, sample_in_ball
 from lipctx.errors import DomainViolationError, InvalidMeasureError
 from lipctx.layers import (
+    _BUDGET,
     FEAS_SLACK,
     AttentionLayer,
     MlpLayer,
+    _attend,
+    attn_apply_batch,
     attn_forward,
     attn_jacobian,
     attn_potential,
     attn_softmax_mean,
     attn_step_bound,
+    attn_update,
     ball_sup_ay,
     mlp_forward,
     softmax_weights,
     spectral_norm,
 )
-from lipctx.measure import DomainBall, new_empirical
+from lipctx.measure import DomainBall, new_empirical, tree_sum
+from lipctx.transformer import evaluate_batch
 
 
 def sample_ball(rng, ball, size):
@@ -288,6 +297,63 @@ class TestAttentionForward:
         ys = sample_ball(rng, layer.domain, 2000)
         assert layer.sup_ay >= float(np.linalg.norm(layer.domain.center @ layer.A.T))
         assert float(np.max(np.linalg.norm(ys @ layer.A.T, axis=1))) <= layer.sup_ay
+
+    def test_empty_query_batch(self):
+        layer = random_attention(np.random.default_rng(9), 3)
+        mu = new_empirical(sample_ball(np.random.default_rng(1), layer.domain, 4))
+        assert attn_apply_batch(layer, mu, np.zeros((0, 3))).shape == (0, 3)
+
+
+class TestBlockedMean:
+    """The softmax mean reduces in query blocks with the one-shot bits."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(1, 300),
+        h=st.integers(1, 130),
+        blocks=st.integers(0, 3),
+        extra=st.integers(0, 2**20),
+        zeros=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=7, h=5, blocks=2, extra=17, zeros=2, seed=0)  # m not a multiple of rows
+    @example(n=301, h=120, blocks=3, extra=0, zeros=1, seed=1)  # n h > _BUDGET: rows 1
+    @example(n=5, h=3, blocks=0, extra=0, zeros=0, seed=2)  # no queries
+    def test_update_matches_one_shot_reduction(self, n, h, blocks, extra, zeros, seed):
+        rng = np.random.default_rng(seed)
+        rows = max(1, _BUDGET // (n * h))
+        m = blocks * rows + extra % rows
+        pts = rng.normal(size=(n, h))
+        queries = rng.normal(size=(m, h))
+        w = rng.random(n) + 0.1
+        w[: min(zeros, n - 1)] = 0.0  # zero-weight atoms, one positive at least
+        radius = float(np.max(np.linalg.norm(np.vstack([pts, queries]), axis=1)))
+        dom = DomainBall(np.zeros(h), radius)
+        a = rng.normal(size=(h, h)) / math.sqrt(h)
+        layer = AttentionLayer(a, 0.5 * attn_step_bound(a, dom), dom)
+        (got,) = attn_update(layer, pts, w, [queries])
+        ay, (p,) = _attend(layer, pts, w, [queries])
+        want = queries - layer.eta * tree_sum(p.T[:, :, None] * ay[:, None, :])
+        assert got.shape == (m, h)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wide_context_peak_under_32_mb(self):
+        # 1024 tokens x 256 queries at width 16, four blocks: one (n, m, h)
+        # product for the atoms attending over themselves is 134 MB.
+        model = random_clamped_model(4, 16, 4, seed=5)
+        rng = np.random.default_rng(3)
+        mu = new_empirical(
+            sample_in_ball(rng, model.input_domain, 1024), rng.random(1024) + 0.1
+        )
+        queries = sample_in_ball(rng, model.input_domain, 256)
+        tracemalloc.start()
+        try:
+            out = evaluate_batch(model, mu, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (256,)
+        assert peak < 32e6
 
 
 class TestAttentionPotential:

@@ -261,6 +261,12 @@ class TestDomainBall:
                 with pytest.raises(DomainViolationError):
                     ball.require(np.array(x), "point")
 
+    def test_empty_set_is_inside(self):
+        ball = DomainBall(np.zeros(2), 0.0)
+        ball.require(np.zeros((0, 2)), "point")
+        with pytest.raises(DimensionMismatchError):
+            ball.require(np.zeros((0, 3)), "point")
+
     def test_invalid(self):
         with pytest.raises(InvalidMeasureError):
             DomainBall(np.zeros(2), -1.0)
@@ -299,3 +305,18 @@ class TestDeterministicReduction:
         pts = np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 2.0]])
         order = canonical_atom_order(pts, np.full(3, 1 / 3))
         assert list(order) == [2, 1, 0]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_canonical_order_matches_lexsort(self, data):
+        # Ties, signed zeros and NaN in any column, the first included.
+        n, d = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 3))
+        value = st.one_of(
+            st.sampled_from([-1.0, -0.0, 0.0, 1.0, np.nan]), st.floats(-2.0, 2.0)
+        )
+        pts = np.array(data.draw(st.lists(value, min_size=n * d, max_size=n * d)))
+        pts = pts.reshape(n, d)
+        weight = st.sampled_from([0.0, 0.5, 1.0])
+        w = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
+        keys = tuple(pts[:, c] for c in range(d - 1, -1, -1))
+        np.testing.assert_array_equal(canonical_atom_order(pts, w), np.lexsort((w,) + keys))

@@ -179,6 +179,14 @@ class TestEvaluate:
         want = evaluate(with_readout(v), mu, x) + evaluate(with_readout(w), mu, x)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_empty_query_batch(self, depth):
+        # An empty set lies inside every ball, so no query fails the checks.
+        model = random_clamped_model(3, 5, depth, seed=6)
+        mu = new_empirical(sample_in_ball(np.random.default_rng(2), model.input_domain, 4))
+        out = evaluate_batch(model, mu, np.zeros((0, 3)))
+        assert out.shape == (0,)
+
 
 class TestPropagateDomains:
     def test_identity_model_chain(self):
