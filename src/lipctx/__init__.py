@@ -26,7 +26,6 @@ from .critic import (
     TrainConfig,
     critic_grads,
     critic_value,
-    kr_gap,
     kr_objective,
     project_params,
     train_critic,
@@ -58,11 +57,9 @@ from .layers import (
     AttentionLayer,
     MlpLayer,
     attn_forward,
-    attn_jacobian,
     attn_potential,
     attn_step_bound,
     mlp_forward,
-    softmax_weights,
     spectral_norm,
 )
 from .measure import (

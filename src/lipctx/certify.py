@@ -359,7 +359,7 @@ def _jacobian_fd(layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray):
     _require_interior(layer, x, steps)
     cov = attn_covariance(layer, mu, x)
     d = x.shape[0]
-    jac = np.eye(d) - layer.eta * cov  # attn_jacobian, same bits
+    jac = np.eye(d) - layer.eta * cov
     probes = np.diag(steps)
     out = attn_apply_batch(layer, mu, np.vstack([x + probes, x - probes]))
     fd = ((out[:d] - out[d:]) / (2.0 * steps)[:, None]).T

@@ -34,12 +34,14 @@ Every attention layer, identity blocks included, declares a finite ball
 around its inputs, and the forward pass holds every atom and query to it.
 Product-space constructions (parallel attention, lattice, separator)
 declare enclosing *balls* around what is really a product of balls.
-Their block layers keep each factor's exact step unclamped: it is
-feasible on the product set, while ``sup_ay`` is the ball bound over the
-enclosing ball, which can be larger. Re-running ``clamp_model`` may thus
-soundly shrink steps, trading exactness for ball-only certification, so
-the models are returned unclamped and exact. Certificates are functions
-of the wire fields, so save and load reproduce them.
+Their block layers store each factor's exact step, as every layer
+constructor stores the step it is given: it is feasible on the product
+set, while ``sup_ay`` is the ball bound over the enclosing ball, which
+can be larger. Running ``clamp_model``, the one step projection, may
+thus soundly shrink steps, trading exactness for ball-only
+certification, so the models are returned unclamped and exact.
+Certificates are functions of the wire fields, so save and load
+reproduce them.
 """
 from __future__ import annotations
 
@@ -143,12 +145,12 @@ def _block_attention(
 ) -> AttentionLayer:
     """``layer`` on coordinates [start, start + dim) of R^width, domain ``ball``.
 
-    The factor's exact step is kept, not clamped against the ball bound
-    over ``ball``: it is feasible on the product set inside the ball.
+    The factor's exact step is stored as is; it can exceed the ball bound
+    over ``ball``, but it is feasible on the product set inside the ball.
     """
     a = np.zeros((width, width))
     a[start : start + layer.dim, start : start + layer.dim] = layer.A
-    return AttentionLayer(a, layer.eta, ball, clamp=False)
+    return AttentionLayer(a, layer.eta, ball)
 
 
 def _block_mlp(layer: MlpLayer, start: int, width: int) -> MlpLayer:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidMeasureError
 from .layers import MlpLayer, clamp_step, spectral_norm
-from .measure import EmpiricalMeasure, tree_sum, w1_exact
+from .measure import EmpiricalMeasure, tree_sum
 from .transformer import Lifting
 
 
@@ -129,7 +129,7 @@ def _params(c: Critic) -> tuple:
 def _critic(params: tuple) -> Critic:
     """The critic of a projected iterate; its taus are already clamped."""
     a_q, b_q, layers, v = params
-    stack = tuple(MlpLayer(w, b, tau, clamp=False) for w, b, tau in layers)
+    stack = tuple(MlpLayer(w, b, tau) for w, b, tau in layers)
     return Critic(Lifting(a_q, b_q), stack, v)
 
 
@@ -329,11 +329,3 @@ def train_critic(
             best, best_obj = params, obj
     return _critic(best), best_obj
 
-
-def kr_gap(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, cfg: TrainConfig
-) -> tuple[float, float, float]:
-    """(critic estimate, exact W1, duality gap >= -1e-9)."""
-    exact = w1_exact(mu, nu)
-    _, estimate = train_critic(mu, nu, cfg)
-    return estimate, exact, exact - estimate

@@ -32,22 +32,27 @@ Both bounds are computed at construction from the layer's own fields
 (``cert_spec_norm`` of an MLP layer, ``sup_ay`` of an attention layer
 over its declared ball) and are never constructor arguments, so a saved
 and loaded layer carries the same certificate.
-Step clamps accept steps within a relative ``FEAS_SLACK`` (1e-9, over
-twice that inflation) above the certified bound before projecting;
-exact constructions (the min/max gate, parallel stacks) sit precisely
-on the *true* feasibility boundary and must not be perturbed by
-certification rounding. The price is that a step admitted
-inside the slack may exceed its true bound 2 / s^2 by the same relative
-1e-9, so such a layer is (1 + 2e-9)-Lipschitz. A step the clamp moves
-lands on the certified bound, below the true one. Callers that need a
-strict clamp (the Wasserstein critic) call ``clamp_step`` with slack 0
-and build the layer with ``clamp=False``. So do the block layers of
-the constructions: their exact steps are feasible on the product of the
-factors' balls, where sup ||A y|| can be smaller than the ball bound
-over the enclosing ball they declare. Attention runs on one kernel,
-``_attend``. The forward pass updates atoms and queries in one call,
-which checks the atoms against the domain once; an identity layer runs
-the checks alone.
+A constructor never rewrites a step: it checks shapes and finiteness,
+rejects a negative step, computes the certificate and stores the step
+bit for bit as given. ``transformer.clamp_model`` is the one place a
+model's steps are projected, with ``clamp_step`` against each layer's
+certificate over its propagated ball; ``is_clamped`` asks whether that
+projection changes anything. ``clamp_step`` accepts steps within a
+relative ``FEAS_SLACK`` (1e-9, over twice that inflation) above the
+certified bound; exact constructions (the min/max gate, parallel
+stacks) sit precisely on the *true* feasibility boundary and must not
+be perturbed by certification rounding. The price is that a step
+admitted inside the slack may exceed its true bound 2 / s^2 by the same
+relative 1e-9, so such a layer is (1 + 2e-9)-Lipschitz. A step the
+clamp moves lands on the certified bound, below the true one. The
+Wasserstein critic projects its own steps with slack 0, and the block
+layers of the constructions store exact steps that are feasible on a
+product of balls inside the enclosing ball they declare.
+
+Attention runs on one kernel, ``_attend``. The forward pass updates
+atoms and queries in one call, which checks the atoms against the
+domain once; an identity layer (``is_identity``, set at construction)
+runs the checks alone.
 
 Attention memory is O(m n) for the (m, n) score and softmax matrices of
 a batch of m queries against n atoms, plus O(``_BUDGET``) for the
@@ -68,7 +73,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -168,28 +173,18 @@ def clamp_step(step: float, sup: float, slack: float = FEAS_SLACK) -> float:
 
     Steps within ``slack`` (relative) above the bound pass unchanged:
     the bound is built from a norm bound inflated by rounding terms, so
-    a step on the true boundary is not shaved. When ``sup`` is zero the
-    layer is the identity regardless of the step, which is left untouched.
+    a step on the true boundary is not shaved. A negative step becomes
+    zero. When ``sup`` is zero the layer is the identity regardless of
+    the step, and any other step is left untouched.
     """
-    if sup <= 0.0:
-        return step
     if step < 0.0:
         return 0.0
+    if sup <= 0.0:
+        return step
     bound = 2.0 / (sup * sup)
     if step <= bound * (1.0 + slack):
         return step
     return bound
-
-
-def softmax_weights(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted softmax p_i = w_i e^{s_i - max} / sum_j w_j e^{s_j - max}.
-
-    The max is taken over atoms of positive weight so the denominator
-    cannot underflow to zero; adding a constant to all scores leaves the
-    result unchanged.
-    """
-    p = _softmax_batch(np.asarray(scores, dtype=np.float64)[None, :], weights)
-    return p[0]
 
 
 def _softmax_batch(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -215,18 +210,16 @@ class MlpLayer:
     """Parameters (W, b, tau) of a gradient-descent MLP layer.
 
     ``cert_spec_norm`` is a certified upper bound on ||W||_2, computed
-    at construction; the constructor clamps tau into the certified
-    feasible interval unless ``clamp=False`` (used by constructions whose
-    exact parameters are proven feasible analytically).
+    at construction. tau is stored as given, so it may lie above
+    2 / ``cert_spec_norm``^2; ``clamp_step`` projects it.
     """
 
     W: np.ndarray  # (k, d)
     b: np.ndarray  # (k,)
     tau: float
     cert_spec_norm: float = field(init=False)
-    clamp: InitVar[bool] = True
 
-    def __post_init__(self, clamp: bool):
+    def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.W, dtype=np.float64)).copy()
         bias = np.asarray(self.b, dtype=np.float64).reshape(-1).copy()
         if bias.shape[0] != w.shape[0]:
@@ -235,18 +228,17 @@ class MlpLayer:
             )
         if not np.all(np.isfinite(w)) or not np.all(np.isfinite(bias)):
             raise InvalidMeasureError("non-finite MLP parameters")
-        cert = spectral_norm(w)
         tau = float(self.tau)
         if not np.isfinite(tau):
             raise InvalidMeasureError("non-finite tau")
-        if clamp:
-            tau = clamp_step(tau, cert)
+        if tau < 0.0:
+            raise InvalidMeasureError("negative tau")
         w.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "W", w)
         object.__setattr__(self, "b", bias)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "cert_spec_norm", cert)
+        object.__setattr__(self, "cert_spec_norm", spectral_norm(w))
 
     @property
     def dim(self) -> int:
@@ -263,18 +255,19 @@ class AttentionLayer:
 
     ``domain`` is the declared input ball; ``sup_ay`` is always the
     certified ball bound ``ball_sup_ay(A, domain)`` on sup ||A y|| over
-    it, computed at construction. The constructor clamps eta against it
-    unless ``clamp=False`` (used by constructions whose exact steps are
-    proven feasible on a smaller set than the declared ball).
+    it, and ``is_identity`` whether the layer is exactly the identity
+    (zero step or zero matrix), both set at construction. eta is stored
+    as given, so it may lie above 2 / ``sup_ay``^2; ``clamp_step``
+    projects it.
     """
 
     A: np.ndarray  # (d, d)
     eta: float
     domain: DomainBall
     sup_ay: float = field(init=False)
-    clamp: InitVar[bool] = True
+    is_identity: bool = field(init=False)
 
-    def __post_init__(self, clamp: bool):
+    def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.A, dtype=np.float64)).copy()
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError("attention matrix must be square")
@@ -284,25 +277,20 @@ class AttentionLayer:
             )
         if not np.all(np.isfinite(a)):
             raise InvalidMeasureError("non-finite attention matrix")
-        sup = ball_sup_ay(a, self.domain)
         eta = float(self.eta)
         if not np.isfinite(eta):
             raise InvalidMeasureError("non-finite eta")
-        if clamp:
-            eta = clamp_step(eta, sup)
+        if eta < 0.0:
+            raise InvalidMeasureError("negative eta")
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "sup_ay", sup)
+        object.__setattr__(self, "sup_ay", ball_sup_ay(a, self.domain))
+        object.__setattr__(self, "is_identity", eta == 0.0 or not a.any())
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def is_identity(self) -> bool:
-        """Whether the layer is exactly the identity (zero step or zero matrix)."""
-        return self.eta == 0.0 or not self.A.any()
 
     def __repr__(self) -> str:
         return (
@@ -494,13 +482,3 @@ def attn_covariance(
     diffs = ay - _softmax_mean(p, ay)
     return tree_sum(p[0][:, None, None] * (diffs[:, :, None] * diffs[:, None, :]))
 
-
-def attn_jacobian(
-    layer: AttentionLayer, mu: EmpiricalMeasure, x: np.ndarray
-) -> np.ndarray:
-    """Query Jacobian I - eta * Cov of the attention update.
-
-    The result is exactly symmetric; its spectral norm stays within
-    1 + 1e-9 under the eta invariant.
-    """
-    return np.eye(layer.dim) - layer.eta * attn_covariance(layer, mu, x)

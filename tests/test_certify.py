@@ -39,8 +39,7 @@ def random_attention(rng, dim, radius, eta_frac=None):
 
 class TestContextLipschitzBound:
     def test_zero_matrix(self):
-        layer = AttentionLayer(np.zeros((2, 2)), 0.5, DomainBall(np.zeros(2), 1.0),
-                               clamp=False)
+        layer = AttentionLayer(np.zeros((2, 2)), 0.5, DomainBall(np.zeros(2), 1.0))
         cc = context_lipschitz_bound(layer)
         assert cc.c1 == 0.0 and not cc.vacuous
 
@@ -50,7 +49,7 @@ class TestContextLipschitzBound:
 
     def test_constants_assembly(self):
         dom = DomainBall(np.zeros(2), 1.0)
-        layer = AttentionLayer(np.eye(2), 0.5, dom, clamp=False)
+        layer = AttentionLayer(np.eye(2), 0.5, dom)
         cc = context_lipschitz_bound(layer)
         op = spectral_norm(np.eye(2))
         assert 1.0 <= op <= 1.0 + 1e-12
@@ -67,8 +66,7 @@ class TestContextLipschitzBound:
         assert cc.c1 == pytest.approx(want, rel=1e-12)
 
     def test_vacuous_flag(self):
-        layer = AttentionLayer(np.eye(2), 0.01, DomainBall(np.zeros(2), 3.0),
-                               clamp=False)
+        layer = AttentionLayer(np.eye(2), 0.01, DomainBall(np.zeros(2), 3.0))
         assert context_lipschitz_bound(layer).vacuous
 
     def test_empirical_ratio_below_c1(self):
@@ -111,7 +109,7 @@ class TestEmpiricalQueryLipschitz:
     def test_refuses_unclamped(self):
         rng = np.random.default_rng(1)
         attn = AttentionLayer(
-            rng.normal(size=(3, 3)), 99.0, DomainBall(np.zeros(3), 0.01), clamp=False
+            rng.normal(size=(3, 3)), 99.0, DomainBall(np.zeros(3), 0.01)
         )
         mlp = MlpLayer(np.zeros((1, 3)), np.zeros(1), 0.0)
         model = ScalarModel(
@@ -268,5 +266,9 @@ class TestSamplingUtilities:
         assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= ball.radius + 1e-12)
 
     def test_random_model_is_clamped(self):
-        for seed in range(4):
-            assert is_clamped(random_clamped_model(2, 6, 3, seed=seed))
+        # The certify_sweep shapes too: each step lands in bound by its own
+        # draw, as no constructor projects it.
+        shapes = ((2, 6, 3), (8, 16, 4), (2, 4, 1), (6, 12, 3), (4, 8, 2), (7, 2, 4))
+        for d, h, depth in shapes:
+            for seed in range(4):
+                assert is_clamped(random_clamped_model(d, h, depth, seed=seed))

@@ -170,10 +170,12 @@ class TestParallelMlp:
 
     def test_stays_certifiably_feasible(self):
         rng = RNG(6)
-        f = MlpLayer(rng.normal(size=(3, 3)), np.zeros(3), 10.0)  # clamped to bound
-        fp = MlpLayer(rng.normal(size=(2, 2)), np.zeros(2), 10.0)
+        w, wp = rng.normal(size=(3, 3)), rng.normal(size=(2, 2))
+        f = MlpLayer(w, np.zeros(3), clamp_step(10.0, spectral_norm(w)))  # at the bound
+        fp = MlpLayer(wp, np.zeros(2), clamp_step(10.0, spectral_norm(wp)))
         merged = parallel_mlp(f, fp)
-        assert merged.tau == 1.0  # unit step survives the certified clamp
+        assert merged.tau == 1.0
+        assert clamp_step(merged.tau, merged.cert_spec_norm) == 1.0  # survives the clamp
 
 
 def _compose_parallel(l1, l2, coupling, x, xp):
@@ -361,8 +363,7 @@ class TestKrIntegrator:
             crit = project_params(
                 Critic(
                     Lifting(RNG(seed).normal(size=(5, 2)), RNG(seed + 1).normal(size=5) * 0.2),
-                    (MlpLayer(w, np.zeros(5), clamp_step(0.4, spectral_norm(w), 0.0),
-                              clamp=False),),
+                    (MlpLayer(w, np.zeros(5), clamp_step(0.4, spectral_norm(w), 0.0)),),
                     RNG(seed + 3).normal(size=5),
                 )
             )
@@ -394,7 +395,7 @@ class TestKrIntegrator:
         crit = project_params(
             Critic(
                 Lifting(RNG(20).normal(size=(4, 2)), np.zeros(4)),
-                (MlpLayer(w, np.zeros(4), clamp_step(0.6, spectral_norm(w), 0.0), clamp=False),),
+                (MlpLayer(w, np.zeros(4), clamp_step(0.6, spectral_norm(w), 0.0)),),
                 RNG(22).normal(size=4),
             )
         )

@@ -1,4 +1,6 @@
 """Layer primitives: spectral certification, forwards, potentials, Jacobians."""
+import dataclasses
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,20 +18,29 @@ from lipctx.layers import (
     AttentionLayer,
     MlpLayer,
     _attend,
+    _softmax_batch,
     attn_apply_batch,
+    attn_covariance,
     attn_forward,
-    attn_jacobian,
     attn_potential,
     attn_softmax_mean,
     attn_step_bound,
     attn_update,
     ball_sup_ay,
+    clamp_step,
     mlp_forward,
-    softmax_weights,
     spectral_norm,
 )
 from lipctx.measure import DomainBall, new_empirical, tree_sum
-from lipctx.transformer import evaluate_batch
+from lipctx.serialize import layer_from_json, layer_to_json
+from lipctx.transformer import (
+    Lifting,
+    ScalarModel,
+    clamp_model,
+    evaluate_batch,
+    is_clamped,
+    lifted_ball,
+)
 
 
 def sample_ball(rng, ball, size):
@@ -43,6 +54,32 @@ def random_attention(rng, dim, radius=1.2, eta_frac=None):
     a = rng.normal(size=(dim, dim)) / math.sqrt(dim)
     frac = rng.uniform(0.1, 1.0) if eta_frac is None else eta_frac
     return AttentionLayer(a, frac * attn_step_bound(a, dom), dom)
+
+
+def one_block(layer):
+    """Depth-1 model on the unit ball around ``layer``, identity lifting.
+
+    The block's other layer is the identity. An attention layer keeps
+    its A and eta but declares the propagated ball, so only a step can
+    make the model unclamped.
+    """
+    dim, is_mlp = layer.dim, isinstance(layer, MlpLayer)
+    lifting, ball = Lifting(np.eye(dim), np.zeros(dim)), DomainBall(np.zeros(dim), 1.0)
+    a, eta = (np.zeros((dim, dim)), 0.0) if is_mlp else (layer.A, layer.eta)
+    attn = AttentionLayer(a, eta, lifted_ball(lifting, ball))
+    mlp = layer if is_mlp else MlpLayer(np.zeros((1, dim)), np.zeros(1), 0.0)
+    return ScalarModel(lifting, ((attn, mlp),), np.ones(dim), ball, 1.0)
+
+
+def projected(layer):
+    """``layer`` as ``clamp_model`` leaves it in ``one_block(layer)``."""
+    attn, mlp = clamp_model(one_block(layer)).blocks[0]
+    return mlp if isinstance(layer, MlpLayer) else attn
+
+
+def jacobian(layer, mu, x):
+    """Query Jacobian I - eta * Cov of the attention update."""
+    return np.eye(layer.dim) - layer.eta * attn_covariance(layer, mu, x)
 
 
 def assert_tight(cert, m):
@@ -98,7 +135,7 @@ class TestSpectralNorm:
         for _ in range(500):
             m = near_tie_matrix(rng, 8, 10.0 ** float(rng.uniform(-9.0, -3.0)))
             assert spectral_norm(m) >= np.linalg.norm(m, 2)
-            layer = MlpLayer(m, np.ones(8), 1e3)
+            layer = MlpLayer(m, np.ones(8), clamp_step(1e3, spectral_norm(m)))
             assert np.all(layer.W @ np.zeros(8) + layer.b > 0.0)
             jac = np.eye(8) - layer.tau * (layer.W.T @ layer.W)
             assert np.linalg.norm(jac, 2) <= 1 + 1e-12
@@ -151,25 +188,44 @@ class TestMlpLayer:
 
     def test_clamp_to_bound(self):
         layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 10.0)
-        assert layer.tau == 2.0 / layer.cert_spec_norm**2
-        assert 2.0 / (1 + 1e-12) ** 2 <= layer.tau <= 2.0
+        assert layer.tau == 10.0
+        tau = projected(layer).tau
+        assert tau == clamp_step(10.0, layer.cert_spec_norm)
+        assert tau == 2.0 / layer.cert_spec_norm**2
+        assert 2.0 / (1 + 1e-12) ** 2 <= tau <= 2.0
 
     def test_clamp_above_true_bound(self):
         # 2.00001 is above the true bound 2 by more than the slack, so
         # both layers must clamp (else the ReLU-active Jacobian is -1.00001).
-        layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 2.00001)
-        assert layer.tau < 2.00001 and layer.tau <= 2.0 * (1 + FEAS_SLACK)
+        tau = projected(MlpLayer(np.array([[1.0]]), np.array([0.0]), 2.00001)).tau
+        assert tau < 2.00001 and tau <= 2.0 * (1 + FEAS_SLACK)
         attn = AttentionLayer(np.eye(2), 2.00001, DomainBall(np.zeros(2), 1.0))
-        assert attn.eta < 2.00001 and attn.eta <= 2.0 * (1 + FEAS_SLACK)
+        eta = projected(attn).eta
+        assert eta < 2.00001 and eta <= 2.0 * (1 + FEAS_SLACK)
+        assert clamp_step(attn.eta, attn.sup_ay) <= 2.0 * (1 + FEAS_SLACK)
 
     def test_clamp_noop_when_feasible(self):
         layer = MlpLayer(np.array([[1.0]]), np.array([0.0]), 0.1)
         assert layer.tau == 0.1
-        clamped = MlpLayer(layer.W, layer.b, layer.tau)
-        assert clamped.tau == 0.1
+        assert projected(layer).tau == 0.1
+        assert is_clamped(one_block(layer))
 
     def test_clamp_negative_to_zero(self):
-        assert MlpLayer(np.array([[1.0]]), np.array([0.0]), -0.5).tau == 0.0
+        # A constructor stores steps as given, so it refuses a negative
+        # one; the projection still maps it to zero.
+        w, dom = np.array([[1.0]]), DomainBall(np.zeros(1), 1.0)
+        with pytest.raises(InvalidMeasureError):
+            MlpLayer(w, np.array([0.0]), -0.5)
+        with pytest.raises(InvalidMeasureError):
+            AttentionLayer(w, -0.5, dom)
+        for layer, key in ((MlpLayer(w, np.zeros(1), 0.5), "tau"),
+                           (AttentionLayer(w, 0.5, dom), "eta")):
+            obj = layer_to_json(layer)
+            obj[key] = -0.5
+            with pytest.raises(InvalidMeasureError):
+                layer_from_json(obj)
+        for sup in (0.0, 1.0):
+            assert clamp_step(-0.5, sup) == 0.0
 
     def test_zero_weights_leave_tau(self):
         layer = MlpLayer(np.zeros((1, 2)), np.zeros(1), 7.0)
@@ -186,16 +242,17 @@ class TestMlpLayer:
         # tau exactly at the true-norm bound must survive the certified clamp
         c = 1.0 / math.sqrt(2.0)
         layer = MlpLayer(np.array([[c, -c]]), np.zeros(1), 2.0)
-        assert layer.tau == 2.0
+        assert projected(layer).tau == 2.0
+        assert clamp_step(2.0, layer.cert_spec_norm) == 2.0
         assert layer.tau <= (2.0 / layer.cert_spec_norm**2) * (1 + FEAS_SLACK)
 
     def test_query_one_lipschitz(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             k, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            layer = MlpLayer(
-                rng.normal(size=(k, d)), rng.normal(size=k), float(rng.uniform(0, 5))
-            )
+            w = rng.normal(size=(k, d))
+            tau = clamp_step(float(rng.uniform(0, 5)), spectral_norm(w))
+            layer = MlpLayer(w, rng.normal(size=k), tau)
             x1 = rng.normal(size=(2000, d))
             x2 = rng.normal(size=(2000, d))
             from lipctx.layers import mlp_forward_batch
@@ -206,6 +263,11 @@ class TestMlpLayer:
             den = np.linalg.norm(x1 - x2, axis=1)
             keep = den >= 1e-9
             assert np.all(num[keep] <= den[keep] * (1 + 1e-9))
+
+
+def softmax_weights(scores, weights):
+    """Weighted softmax of one score vector."""
+    return _softmax_batch(np.asarray(scores)[None, :], weights)[0]
 
 
 class TestSoftmax:
@@ -243,7 +305,7 @@ class TestAttentionForward:
         rng = np.random.default_rng(6)
         dom = DomainBall(np.zeros(2), 2.0)
         a = rng.normal(size=(2, 2))
-        layer = AttentionLayer(a, 0.3, dom, clamp=False)
+        layer = AttentionLayer(a, 0.3, dom)
         y = np.array([0.4, -0.3])
         x = np.array([-0.2, 0.6])
         got = attn_forward(layer, new_empirical([y]), x)
@@ -361,7 +423,7 @@ class TestAttentionPotential:
         rng = np.random.default_rng(9)
         dom = DomainBall(np.zeros(2), 2.0)
         a = rng.normal(size=(2, 2))
-        layer = AttentionLayer(a, 0.1, dom, clamp=False)
+        layer = AttentionLayer(a, 0.1, dom)
         y, x = np.array([0.3, 0.5]), np.array([-0.4, 0.2])
         got = attn_potential(layer, new_empirical([y]), x)
         assert got == pytest.approx(float(x @ (a @ y)), abs=1e-14)
@@ -406,14 +468,14 @@ class TestAttentionPotential:
 class TestAttentionJacobian:
     def test_point_mass_identity(self):
         layer = AttentionLayer(np.eye(2), 0.4, DomainBall(np.zeros(2), 1.0))
-        jac = attn_jacobian(layer, new_empirical([[0.2, 0.1]]), np.array([0.0, 0.0]))
+        jac = jacobian(layer, new_empirical([[0.2, 0.1]]), np.array([0.0, 0.0]))
         np.testing.assert_allclose(jac, np.eye(2), atol=1e-15)
 
     def test_zero_step_identity(self):
         layer = AttentionLayer(np.eye(2), 0.0, DomainBall(np.zeros(2), 1.0))
         mu = new_empirical([[0.2, 0.1], [-0.3, 0.4]])
         np.testing.assert_array_equal(
-            attn_jacobian(layer, mu, np.zeros(2)), np.eye(2)
+            jacobian(layer, mu, np.zeros(2)), np.eye(2)
         )
 
     def test_symmetry_exact_and_psd(self):
@@ -422,7 +484,7 @@ class TestAttentionJacobian:
             layer = random_attention(rng, int(rng.integers(1, 5)))
             mu = new_empirical(sample_ball(rng, layer.domain, int(rng.integers(2, 9))))
             x = sample_ball(rng, layer.domain, 1)[0]
-            jac = attn_jacobian(layer, mu, x)
+            jac = jacobian(layer, mu, x)
             assert float(np.max(np.abs(jac - jac.T))) <= 1e-12
             assert float(np.linalg.norm(jac, 2)) <= 1 + 1e-9
             if layer.eta > 0:
@@ -455,6 +517,38 @@ class TestStepBound:
         # A caller-supplied sup could leave an infeasible step unclamped.
         with pytest.raises(TypeError):
             AttentionLayer(np.eye(2), 50.0, DomainBall(np.zeros(2), 1.0), sup_ay=0.1)
+
+    def test_clamp_is_not_an_argument(self):
+        # ``clamp_model`` is the one place a step is projected.
+        switch = {"clamp": True}
+        with pytest.raises(TypeError):
+            AttentionLayer(np.eye(2), 0.5, DomainBall(np.zeros(2), 1.0), **switch)
+        with pytest.raises(TypeError):
+            MlpLayer(np.eye(2), np.zeros(2), 0.5, **switch)
+
+    def test_step_above_bound_is_stored(self):
+        attn = AttentionLayer(np.eye(2), 2.00001, DomainBall(np.zeros(2), 1.0))
+        assert attn.eta.hex() == (2.00001).hex()
+        mlp = MlpLayer(np.eye(2), np.zeros(2), 2.00001)
+        assert mlp.tau.hex() == (2.00001).hex()
+        assert not is_clamped(one_block(attn))
+        assert not is_clamped(one_block(mlp))
+        # The same models with a step in bound are clamped.
+        assert is_clamped(one_block(AttentionLayer(attn.A, 1.0, attn.domain)))
+        assert is_clamped(one_block(MlpLayer(mlp.W, mlp.b, 1.0)))
+
+    def test_is_identity_is_a_field(self):
+        # Set once at construction, as ``sup_ay`` is, not read from A per call.
+        fields = {f.name: f for f in dataclasses.fields(AttentionLayer)}
+        assert not fields["is_identity"].init
+        assert not isinstance(inspect.getattr_static(AttentionLayer, "is_identity", None),
+                              property)
+        dom = DomainBall(np.zeros(2), 1.0)
+        cases = ((np.eye(2), 0.5, False), (np.eye(2), 0.0, True),
+                 (np.zeros((2, 2)), 0.5, True))
+        for a, eta, want in cases:
+            layer = AttentionLayer(a, eta, dom)
+            assert vars(layer)["is_identity"] is want
 
     def test_center_term_never_below_exact(self):
         # At radius 0 the sup is ||A c|| alone; compared in exact rational

@@ -84,7 +84,7 @@ class TestForwardTokens:
         a = rng.normal(size=(d, d))
         dom = DomainBall(np.zeros(d), 3.0)
         eta = 0.2
-        attn = AttentionLayer(a, eta, dom, clamp=False)
+        attn = AttentionLayer(a, eta, dom)
         mlp = MlpLayer(np.zeros((1, d)), np.zeros(1), 0.0)
         model = identity_model(d, blocks=((attn, mlp),), radius=1.0)
         y = np.array([0.3, -0.4])
@@ -240,9 +240,9 @@ class TestClampModel:
         blocks = []
         for _ in range(3):
             attn = AttentionLayer(
-                rng.normal(size=(h, h)), 50.0, DomainBall(np.zeros(h), 0.01), clamp=False
+                rng.normal(size=(h, h)), 50.0, DomainBall(np.zeros(h), 0.01)
             )
-            mlp = MlpLayer(rng.normal(size=(h, h)), rng.normal(size=h), 9.0, clamp=False)
+            mlp = MlpLayer(rng.normal(size=(h, h)), rng.normal(size=h), 9.0)
             blocks.append((attn, mlp))
         model = ScalarModel(
             lifting, tuple(blocks), np.ones(h), DomainBall(np.zeros(d), 1.0), 1.0
