@@ -130,7 +130,7 @@ def context_lipschitz_bound(layer: AttentionLayer) -> ContextConstants:
     """Certified bound on ||Gamma(mu,x) - Gamma(nu,x)|| / W1(mu,nu)."""
     radius = layer.domain.radius
     r_sup = float(np.linalg.norm(layer.domain.center)) + radius
-    op = spectral_norm(layer.A)
+    op = spectral_norm(layer.block)
     b_score = op * r_sup * r_sup
     l_f = op * r_sup
     with np.errstate(over="ignore"):

@@ -51,7 +51,6 @@ from .layers import (
     AttentionLayer,
     MlpLayer,
     attn_update,
-    ball_sup_ay,
     clamp_step,
     mlp_forward,
     mlp_forward_batch,
@@ -268,24 +267,40 @@ def clamp_model(model: ScalarModel) -> ScalarModel:
 
     The one projection of the library: every step goes through
     ``clamp_step`` against its layer's certificate over the propagated
-    ball, and layer constructors store the result as given. Exactly
-    idempotent: a second application reproduces the same layer
-    parameters and domains bit for bit.
+    ball, and layer constructors store the result as given. A layer
+    the projection would not change is kept as it is, with its
+    certificate: an attention layer whose declared ball equals the
+    propagated one bit for bit and whose step stays, an MLP layer whose
+    step stays. Exactly idempotent: a second application reproduces the
+    same layer parameters and domains bit for bit.
     """
     current = lifted_ball(model.lifting, model.input_domain)
     blocks = []
     for attn, mlp in model.blocks:
-        eta = clamp_step(attn.eta, ball_sup_ay(attn.A, current))
-        new_attn = AttentionLayer(attn.A, eta, current)
-        new_mlp = MlpLayer(mlp.W, mlp.b, clamp_step(mlp.tau, mlp.cert_spec_norm))
-        current = mlp_image(attn_image(current, new_attn), new_mlp)
-        blocks.append((new_attn, new_mlp))
+        if not _same_ball(current, attn.domain):
+            attn = AttentionLayer(attn.A, attn.eta, current)
+        eta = clamp_step(attn.eta, attn.sup_ay)
+        if eta != attn.eta:
+            attn = AttentionLayer(attn.A, eta, attn.domain)
+        tau = clamp_step(mlp.tau, mlp.cert_spec_norm)
+        if tau != mlp.tau:
+            mlp = MlpLayer(mlp.W, mlp.b, tau)
+        current = mlp_image(attn_image(current, attn), mlp)
+        blocks.append((attn, mlp))
     return ScalarModel(
         model.lifting,
         tuple(blocks),
         model.readout,
         model.input_domain,
         model.lipschitz_c,
+    )
+
+
+def _same_ball(a: DomainBall, b: DomainBall) -> bool:
+    """Whether two balls are equal bit for bit; signed zeros count."""
+    return (
+        a.center.tobytes() == b.center.tobytes()
+        and np.float64(a.radius).tobytes() == np.float64(b.radius).tobytes()
     )
 
 

@@ -6,7 +6,9 @@ that count: a faster ``rsw_fit`` run must come from cheaper steps, not
 from fewer of them. It also pins the fitted models' declared domains:
 every attention layer's radius is at most 100. And it pins the memory of
 ``certify_sweep``'s largest op, the one whose peak the benchmark gates:
-under 2 MB under ``tracemalloc``.
+under 2 MB under ``tracemalloc``; and the memory of ``rsw_fit``'s largest
+op, whose models' attention layers store only the box around their
+matrices' nonzeros: under 0.5 MB.
 
 It also pins, as a strict expected failure, the premise of the repeat
 check in ``bench/run.py`` that ``certify_sweep`` does not meet yet; the
@@ -63,6 +65,18 @@ def test_certify_sweep_largest_op_peaks_under_2_mb():
         tracemalloc.stop()
     assert sweep.check(0, report) == []
     assert peak < 2e6
+
+
+def test_rsw_fit_largest_op_peaks_under_half_a_mb():
+    fit = load_workloads().RswFit(0)
+    tracemalloc.start()
+    try:
+        out = fit.op(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.check(0, out) == []
+    assert peak < 0.5e6
 
 
 @pytest.mark.xfail(

@@ -293,6 +293,29 @@ class TestSoftmax:
         p = softmax_weights(np.array([0.0, 1e4]), np.array([1.0, 0.0]))
         np.testing.assert_array_equal(p, [1.0, 0.0])
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 9),
+        zeros=st.integers(0, 8),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_buffer_matches_two_array_formula(self, m, n, zeros, scale, seed):
+        # The softmax works in one buffer of its own; the bits are those
+        # of exp(s - max) * w over the positive atoms, divided by its sum.
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(m, 2 * n))[:, ::2] * scale  # a view
+        w = rng.random(n) + 0.1
+        w[rng.permutation(n)[: min(zeros, n - 1)]] = 0.0
+        before = scores.tobytes()
+        pos = w > 0
+        e = np.zeros_like(scores)
+        e[:, pos] = np.exp(scores[:, pos] - scores[:, pos].max(axis=1)[:, None]) * w[pos]
+        want = e / tree_sum(e.T)[:, None]
+        assert _softmax_batch(scores, w).tobytes() == want.tobytes()
+        assert scores.tobytes() == before
+
 
 class TestAttentionForward:
     def test_zero_step_identity(self):
@@ -416,6 +439,115 @@ class TestBlockedMean:
             tracemalloc.stop()
         assert out.shape == (256,)
         assert peak < 32e6
+
+
+def dense_reference(a, eta, pts, w, x):
+    """Plain-numpy attention at one query on the dense matrix ``a``.
+
+    Returns the update, the softmax mean, the covariance and the
+    potential, with plain sums in place of tree sums.
+    """
+    ay = pts @ a.T
+    s = ay @ x
+    e = w * np.exp(s - s.max())
+    p = e / e.sum()
+    mean = p @ ay
+    diffs = ay - mean
+    cov = (p[:, None] * diffs).T @ diffs
+    return x - eta * mean, mean, cov, s.max() + math.log(e.sum())
+
+
+class TestNonzeroBox:
+    """A layer stores the box around A's nonzeros and attends on it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        d=st.integers(1, 12),
+        corners=st.lists(st.integers(0, 11), min_size=4, max_size=4),
+        n=st.integers(1, 8),
+        m=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_box_matches_dense_reference(self, d, corners, n, m, seed):
+        rng = np.random.default_rng(seed)
+        r0, r1, c0, c1 = (min(c, d - 1) for c in corners)
+        rows = slice(min(r0, r1), max(r0, r1) + 1)
+        cols = slice(min(c0, c1), max(c0, c1) + 1)
+        a = np.zeros((d, d))
+        a[rows, cols] = rng.normal(size=a[rows, cols].shape)
+        dom = DomainBall(rng.normal(size=d) * 0.3, 1.0)
+        layer = AttentionLayer(a, 0.5 * attn_step_bound(a, dom), dom)
+        assert layer.A.tobytes() == a.tobytes()
+        assert layer.block.size <= a[rows, cols].size
+        mu = new_empirical(sample_ball(rng, dom, n), rng.random(n) + 0.1)
+        pts, w = mu.points, mu.weights
+        queries = sample_ball(rng, dom, m)
+        (got,) = attn_update(layer, *mu.canonical()[:2], [queries])
+        big = float(np.max(np.linalg.norm(pts @ a.T, axis=1)))
+        assert layer.sup_ay >= big
+
+        def close(value, want, scale):
+            # Relative to the size of the terms summed, as the two sum
+            # in different orders.
+            assert np.linalg.norm(value - want) <= 1e-12 * scale
+
+        for j, x in enumerate(queries):
+            update, mean, cov, pot = dense_reference(a, layer.eta, pts, w, x)
+            close(got[j], update, np.linalg.norm(x) + layer.eta * big)
+            close(attn_softmax_mean(layer, mu, x), mean, big)
+            close(attn_covariance(layer, mu, x), cov, big**2)
+            # log z for a sum z of weights near 1 is exact to about u.
+            score = float(np.max(np.abs(pts @ a.T @ x)))
+            close(attn_potential(layer, mu, x), pot, 1.0 + score)
+
+    def test_box_and_dense_rebuilt_bit_for_bit(self):
+        dom = DomainBall(np.zeros(5), 1.0)
+        a = np.zeros((5, 5))
+        a[1, 2], a[3, 1] = 3.0, -0.0  # a negative zero is kept in the box
+        layer = AttentionLayer(a, 0.5, dom)
+        assert (layer.rows, layer.cols) == (slice(1, 4), slice(1, 3))
+        assert layer.A.tobytes() == a.tobytes()
+        assert not layer.A.flags.writeable and not layer.block.flags.writeable
+        empty = AttentionLayer(np.zeros((5, 5)), 0.5, dom)
+        assert empty.block.size == 0 and empty.is_identity and empty.sup_ay == 0.0
+        mu, x = new_empirical(np.eye(5) * 0.5), np.full(5, 0.1)
+        assert attn_covariance(empty, mu, x).tobytes() == np.zeros((5, 5)).tobytes()
+        assert attn_softmax_mean(empty, mu, x).tobytes() == np.zeros(5).tobytes()
+        assert attn_potential(empty, mu, x) == pytest.approx(0.0, abs=1e-15)
+        dense = random_attention(np.random.default_rng(3), 6)
+        assert (dense.rows, dense.cols) == (slice(0, 6), slice(0, 6))
+        assert dense.block.tobytes() == dense.A.tobytes()
+
+    def test_sup_ay_depends_on_the_box_alone(self):
+        # Embedding A in a wider zero matrix, with any centre coordinates
+        # off the box's columns, gives the same bits.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            k, d = rng.integers(1, 6, size=2)
+            b = rng.normal(size=(k, d))
+            ball = DomainBall(rng.normal(size=d), float(rng.uniform(0.0, 2.0)))
+            wide = np.zeros((12, 12))
+            wide[3 : 3 + k, 5 : 5 + d] = b
+            center = rng.normal(size=12)
+            center[5 : 5 + d] = ball.center
+            sup = ball_sup_ay(wide, DomainBall(center, ball.radius))
+            assert sup.hex() == ball_sup_ay(b, ball).hex()
+
+    def test_box_layer_holds_under_10_kb(self):
+        # A dense 360 x 360 matrix is 1 MB; the layer keeps its box.
+        dom = DomainBall(np.zeros(360), 1.0)
+        sparse = np.zeros((360, 360))
+        sparse[200, 40:48] = np.arange(1.0, 9.0)
+        for a in (sparse, np.zeros((360, 360))):
+            tracemalloc.start()
+            try:
+                layer = AttentionLayer(a, 0.5, dom)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held < 10e3
+            assert layer.A.tobytes() == a.tobytes()
+        assert sparse.nbytes > 1e6
 
 
 class TestAttentionPotential:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from lipctx.certify import random_clamped_model, sample_in_ball
-from lipctx import serialize
+from lipctx import layers, serialize
 from lipctx.errors import DimensionMismatchError, DomainViolationError, InvalidMeasureError
 from lipctx.layers import AttentionLayer, MlpLayer, attn_step_bound
 from lipctx.measure import DomainBall, EmpiricalMeasure, new_empirical
@@ -266,6 +266,30 @@ class TestClampModel:
         assert new_attn.eta == 0.0 and new_mlp.tau == 0.0
         np.testing.assert_array_equal(new_attn.A, attn.A)
         np.testing.assert_array_equal(new_mlp.W, mlp.W)
+
+    def test_unchanged_layers_are_reused(self, monkeypatch):
+        # A clamped model's layers come back as they are, with their
+        # certificates: no spectral norm (which every certificate takes)
+        # and no ball bound is computed.
+        calls = {"spectral_norm": 0, "_box_sup_ay": 0}
+
+        def counted(name):
+            original = getattr(layers, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(layers, name, wrapper)
+
+        model = random_clamped_model(8, 16, 4, seed=3)
+        counted("spectral_norm")
+        counted("_box_sup_ay")
+        assert is_clamped(model)
+        assert calls == {"spectral_norm": 0, "_box_sup_ay": 0}
+        clamped = clamp_model(model)
+        for (a, m), (ca, cm) in zip(model.blocks, clamped.blocks):
+            assert ca is a and cm is m
 
 
 class TestDeepLipschitz:
